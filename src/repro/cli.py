@@ -51,6 +51,19 @@ BACKEND_CHOICES = ("memory", "sharded64")
 EXEC_BACKEND_CHOICES = ("thread", "process")
 
 
+def _write_addresses(rows) -> None:
+    """Write an :class:`~repro.ipv6.sets.AddressSet` as RFC 5952 lines.
+
+    The text is formatted in vectorized chunks (byte for byte the
+    per-address ``compressed()`` lines) and written through the text
+    layer of whatever ``sys.stdout`` is at each write, so
+    ``contextlib.redirect_stdout`` and lines printed around it keep
+    their order.
+    """
+    for chunk in rows.compressed_chunks():
+        sys.stdout.write(chunk)
+
+
 def _read_addresses(path: str) -> List[str]:
     stream = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     try:
@@ -90,16 +103,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             workers=args.workers or None,
             exec_backend=args.exec_backend,
         )
-    for address in candidates.addresses():
-        print(address.compressed())
+    _write_addresses(candidates)
     return 0
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
     network = build_network(args.name)
-    sample = network.sample(args.count, seed=args.seed)
-    for address in sample.addresses():
-        print(address.compressed())
+    _write_addresses(network.sample(args.count, seed=args.seed))
     return 0
 
 
@@ -244,9 +254,7 @@ def _serve_stdin(
             if command == "quit":
                 break
             elif command == "gen" and len(rest) == 2:
-                batch = service.generate(name, rest[0], int(rest[1]))
-                for address in batch.addresses():
-                    print(address.compressed())
+                _write_addresses(service.generate(name, rest[0], int(rest[1])))
             elif command == "member" and len(rest) >= 2:
                 mask = service.membership(name, rest[0], rows_from(rest[1:]))
                 for token, seen in zip(rest[1:], mask):

@@ -17,6 +17,29 @@ from repro.datasets.schema import Sampler
 from repro.ipv6.eui64 import U_BIT, iid_from_ipv4_decimal_words, iid_from_mac
 
 
+def _cdf(weights) -> np.ndarray:
+    """The normalized CDF ``Generator.choice(p=)`` rebuilds on every call.
+
+    ``cdf.searchsorted(rng.random(), side="right")`` then draws the
+    same index from the same single uniform as
+    ``rng.choice(len(weights), p=weights / weights.sum())``, minus the
+    per-call validation, which runs here once: populations stay
+    byte-identical (``test_population_pinned`` in tests/datasets).
+    """
+    probabilities = np.asarray(weights, dtype=np.float64)
+    if not (
+        len(probabilities)
+        and np.isfinite(probabilities).all()
+        and (probabilities >= 0).all()
+        and probabilities.sum() > 0
+    ):
+        raise ValueError("weights must be finite, non-negative, not all 0")
+    probabilities = probabilities / probabilities.sum()
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def constant(value: int) -> Sampler:
     """Always the same value (zero-entropy field)."""
 
@@ -58,13 +81,12 @@ def uniform_range(low: int, high: int) -> Sampler:
 def weighted(values: Sequence[int], weights: Sequence[float]) -> Sampler:
     """Weighted choice from a fixed pool (popular values, Table 3 style)."""
     array = np.asarray(values, dtype=np.uint64)
-    probabilities = np.asarray(weights, dtype=np.float64)
-    if len(array) != len(probabilities):
+    if len(array) != len(weights):
         raise ValueError("values and weights must have equal length")
-    probabilities = probabilities / probabilities.sum()
+    cdf = _cdf(weights)
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        return int(rng.choice(array, p=probabilities))
+        return int(array[cdf.searchsorted(rng.random(), side="right")])
 
     return sample
 
@@ -93,12 +115,10 @@ def zipf_pool(size: int, nybbles: int, seed: int, exponent: float = 1.3) -> Samp
     cardinality = 16 ** nybbles
     pool_rng = np.random.default_rng(seed)
     values = pool_rng.integers(0, cardinality, size=size, dtype=np.uint64)
-    ranks = np.arange(1, size + 1, dtype=np.float64)
-    probabilities = ranks ** (-exponent)
-    probabilities /= probabilities.sum()
+    cdf = _cdf(np.arange(1, size + 1, dtype=np.float64) ** (-exponent))
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        return int(values[rng.choice(size, p=probabilities)])
+        return int(values[cdf.searchsorted(rng.random(), side="right")])
 
     return sample
 
@@ -131,13 +151,12 @@ def select(key: str, options: Sequence[Tuple[float, object, Sampler]]) -> Sample
     ``options`` are (weight, tag, sampler) triples; the drawn tag lands
     in ``context[key]`` so later fields can :func:`switch` on it.
     """
-    weights = np.asarray([w for w, _, _ in options], dtype=np.float64)
-    weights /= weights.sum()
+    cdf = _cdf([w for w, _, _ in options])
     tags = [t for _, t, _ in options]
     samplers = [s for _, _, s in options]
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        index = int(rng.choice(len(tags), p=weights))
+        index = int(cdf.searchsorted(rng.random(), side="right"))
         context[key] = tags[index]
         return int(samplers[index](rng, context))
 
@@ -160,12 +179,12 @@ def switch(key: str, cases: Dict[object, Sampler]) -> Sampler:
 
 def mixture(options: Sequence[Tuple[float, Sampler]]) -> Sampler:
     """Weighted mixture of samplers (no tag recorded)."""
-    weights = np.asarray([w for w, _ in options], dtype=np.float64)
-    weights /= weights.sum()
+    cdf = _cdf([w for w, _ in options])
     samplers = [s for _, s in options]
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
-        return int(samplers[int(rng.choice(len(samplers), p=weights))](rng, context))
+        index = int(cdf.searchsorted(rng.random(), side="right"))
+        return int(samplers[index](rng, context))
 
     return sample
 

@@ -48,7 +48,10 @@ def _parse_ipv4_suffix(text: str) -> Tuple[int, int]:
         raise AddressParseError(f"invalid IPv4 suffix: {text!r}")
     octets = []
     for part in parts:
-        if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
+        # ``str.isdigit`` alone also passes non-ASCII (e.g. fullwidth) digits.
+        if not (part.isascii() and part.isdigit()) or (
+            len(part) > 1 and part[0] == "0"
+        ):
             raise AddressParseError(f"invalid IPv4 octet: {part!r}")
         value = int(part)
         if value > 255:

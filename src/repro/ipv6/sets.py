@@ -42,6 +42,63 @@ for _i, _c in enumerate(_HEX):
 # Nybble value → ASCII hex code (the inverse table).
 _NYBBLE_TO_ASCII = np.frombuffer(_HEX.encode("ascii"), dtype=np.uint8).copy()
 
+#: Rows per ``str`` yielded by :meth:`AddressSet.compressed_chunks`.
+TEXT_CHUNK_ROWS = 1 << 14
+
+
+def compressed_text(matrix: np.ndarray) -> str:
+    """RFC 5952 text of ``(n, width)`` nybble rows, one line per row.
+
+    Each line (newline included) equals
+    ``IPv6Address(row << 4 * (32 - width)).compressed() + "\\n"``: rows
+    narrower than 32 nybbles are zero-padded on the right, as
+    :meth:`AddressSet.addresses` does.  Every row is laid out as eight
+    hextets of four digits plus a separator in an ``(n, 8, 5)``
+    character buffer; a keep mask drops each hextet's leading zero
+    digits, the leftmost longest run of two or more zero hextets, and
+    the run's colons but the two of its ``::``.
+    """
+    n, width = matrix.shape
+    if width > NYBBLES_PER_ADDRESS:
+        raise ValueError(f"rows of {width} nybbles are wider than an address")
+    padded = np.zeros((n, NYBBLES_PER_ADDRESS), dtype=np.uint8)
+    padded[:, :width] = matrix
+    octets = (padded[:, 0::2] << 4) | padded[:, 1::2]
+    hextets = octets.view(">u2").astype(np.uint16)
+    chars = np.empty((n, 8, 5), dtype=np.uint8)
+    chars[:, :, :4] = _NYBBLE_TO_ASCII.take(padded).reshape(n, 8, 4)
+    chars[:, :, 4] = ord(":")
+    chars[:, 7, 4] = ord("\n")
+    # Only a strictly longer run replaces the best: the leftmost wins ties.
+    zero = hextets == 0
+    run = np.zeros(n, dtype=np.int8)
+    best = np.zeros(n, dtype=np.int8)
+    end = np.zeros(n, dtype=np.int8)
+    for hextet in range(8):
+        run = (run + 1) * zero[:, hextet]
+        longer = run > best
+        best[longer] = run[longer]
+        end[longer] = hextet
+    column = np.arange(8)
+    start = (end - best + 1)[:, None]
+    end = end[:, None]
+    in_run = (best[:, None] >= 2) & (column >= start) & (column <= end)
+    # "::" is the colons either side of the run; at an edge of the
+    # address the run's own first colons stand in for the missing ones.
+    inner = 2 - (start > 0) - (end < 7)
+    keep = np.empty((n, 8, 5), dtype=bool)
+    # A hextet's digits start at its first nonzero one ("0" if none);
+    # a hextet in the run is zero, so only its "0" needs dropping.
+    np.greater(hextets, 0xFFF, out=keep[:, :, 0])
+    np.greater(hextets, 0xFF, out=keep[:, :, 1])
+    np.greater(hextets, 0xF, out=keep[:, :, 2])
+    np.logical_not(in_run, out=keep[:, :, 3])
+    np.logical_not(
+        in_run & (column < end) & (column - start >= inner),
+        out=keep[:, :, 4],
+    )
+    return chars[keep].tobytes().decode("ascii")
+
 
 def _mix64(values: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer (wrapping uint64 arithmetic)."""
@@ -987,6 +1044,17 @@ class AddressSet:
         """Rows as full addresses (zero-padded on the right if width<32)."""
         pad = 4 * (NYBBLES_PER_ADDRESS - self.width)
         return [IPv6Address(v << pad) for v in self.to_ints()]
+
+    def compressed_chunks(self) -> Iterator[str]:
+        """All rows as RFC 5952 lines, one ``str`` per
+        :data:`TEXT_CHUNK_ROWS` rows.
+
+        Joined, the chunks are exactly the ``compressed()`` text of
+        :meth:`addresses`, one newline-terminated line per row, built
+        by :func:`compressed_text` with no per-row Python object.
+        """
+        for start in range(0, len(self), TEXT_CHUNK_ROWS):
+            yield compressed_text(self._matrix[start : start + TEXT_CHUNK_ROWS])
 
     def hex_rows(self) -> Iterator[str]:
         """Rows as fixed-width hex strings (the Fig. 3 representation)."""

@@ -51,6 +51,15 @@ class TestBasicSamplers:
         with pytest.raises(ValueError):
             parts.weighted([1], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "weights", [[1.0, -1.0], [0.0, 0.0], [float("nan"), 1.0]]
+    )
+    def test_bad_weights_rejected_at_construction(self, weights):
+        with pytest.raises(ValueError):
+            parts.weighted([1, 2], weights)
+        with pytest.raises(ValueError):
+            parts.mixture([(w, parts.constant(0)) for w in weights])
+
     def test_pool_is_deterministic(self, gen):
         a = parts.pool(10, 4, seed=3)
         b = parts.pool(10, 4, seed=3)

@@ -69,6 +69,9 @@ class TestParsing:
             "::1.2.3.4.5",
             "::256.1.1.1",
             "2001:db8::01.2.3.4:5",
+            # non-ASCII digits pass str.isdigit(); stdlib rejects them
+            "::ffff:\u0661.2.3.4",
+            "::ffff:\uff11.2.3.4",
         ],
     )
     def test_rejects_malformed(self, bad):

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _read_addresses, build_parser, main
+from repro.ipv6.sets import TEXT_CHUNK_ROWS
 
 
 @pytest.fixture
@@ -13,6 +17,27 @@ def address_file(tmp_path, structured_set):
     ).addresses()]
     path.write_text("# sample\n" + "\n".join(lines) + "\n")
     return str(path)
+
+
+def per_address_text(rows) -> str:
+    """The per-address text the bulk emitters must reproduce."""
+    return "".join(a.compressed() + "\n" for a in rows.addresses())
+
+
+def emitted(argv, sink, tmp_path) -> str:
+    """Run the CLI with stdout redirected into a text-mode file (as
+    perfbench captures ``repro generate``) or an ``io.StringIO``, which
+    has no ``.buffer``."""
+    if sink == "file":
+        path = tmp_path / "out.txt"
+        with open(path, "w", encoding="utf-8") as f, \
+                contextlib.redirect_stdout(f):
+            assert main(argv) == 0
+        return path.read_bytes().decode("ascii")
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    return buffer.getvalue()
 
 
 class TestParser:
@@ -88,7 +113,6 @@ class TestCommands:
         EntropyIP.fit + generate_addresses call."""
         import numpy as np
 
-        from repro.cli import _read_addresses
         from repro.core.pipeline import EntropyIP
 
         main(["generate", address_file, "--count", "25", "--seed", "8"])
@@ -146,7 +170,6 @@ class TestServeCommand:
         """Protocol-served candidates equal the library service path."""
         import io
 
-        from repro.cli import _read_addresses
         from repro.serve import HitlistService
 
         monkeypatch.setattr("sys.stdin", io.StringIO("gen a 3\ngen a 3\n"))
@@ -256,6 +279,58 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "checkpointed to" in out
         assert os.path.exists(os.path.join(ckpt, "sessions.ckpt"))
+
+    def test_line_protocol_keeps_request_order(
+        self, address_file, capsys, monkeypatch
+    ):
+        """Chunked ``gen`` output and printed replies interleave in
+        request order on one stdout."""
+        from repro.serve import HitlistService
+
+        with HitlistService() as svc:
+            svc.fit("m", _read_addresses(address_file), width=32)
+            first = svc.generate("m", "a", 40)
+            second = svc.generate("m", "a", 40)
+        token = first.addresses()[0].compressed()
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(f"gen a 40\nmember a {token}\ngen a 40\n")
+        )
+        assert main(["serve", address_file, "--name", "m"]) == 0
+        expected = per_address_text(first) + f"{token} seen\n"
+        assert capsys.readouterr().out == expected + per_address_text(second)
+
+
+class TestBulkEmitters:
+    """``generate`` and ``dataset`` write the per-address text byte for
+    byte, across more than one vectorized chunk."""
+
+    COUNT = TEXT_CHUNK_ROWS + 1000
+
+    @pytest.fixture(scope="class")
+    def r1_file(self, tmp_path_factory, r1_small):
+        path = tmp_path_factory.mktemp("r1") / "r1.txt"
+        path.write_text(per_address_text(r1_small.sample(1000, seed=0)))
+        return str(path)
+
+    @pytest.mark.parametrize("sink", ["file", "stringio"])
+    @pytest.mark.parametrize("width", [32, 16])
+    def test_generate(self, r1_file, tmp_path, sink, width):
+        from repro.serve import HitlistService
+
+        with HitlistService() as svc:
+            svc.fit(r1_file, _read_addresses(r1_file), width=width)
+            rows = svc.generate(r1_file, "cli", self.COUNT, seed=5)
+        argv = ["generate", r1_file, "--count", str(self.COUNT),
+                "--seed", "5", "--width", str(width)]
+        assert emitted(argv, sink, tmp_path) == per_address_text(rows)
+
+    @pytest.mark.parametrize("sink", ["file", "stringio"])
+    def test_dataset(self, tmp_path, sink):
+        from repro.datasets.networks import build_network
+
+        rows = build_network("R1").sample(self.COUNT, seed=2)
+        argv = ["dataset", "R1", "--count", str(self.COUNT), "--seed", "2"]
+        assert emitted(argv, sink, tmp_path) == per_address_text(rows)
 
 
 class TestIngestCommand:
