@@ -8,11 +8,25 @@ combinations without assigning zero mass to unseen parent configurations.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.bayes.factor import Factor
+
+
+class SamplingGuide(NamedTuple):
+    """A guide table over :meth:`CPD.sampling_cdf` (see
+    :meth:`CPD.sampling_guide`)."""
+
+    #: ``sampling_cdf()`` plus a ``+inf`` sentinel that ends every scan.
+    cdf: np.ndarray
+    #: Scan start per bucket; a key's bucket is ``floor(key * scale)``,
+    #: clamped to the last one.
+    guide: np.ndarray
+    scale: float
+    #: Per configuration, the highest state a draw may return.
+    top: np.ndarray
 
 
 class CPD:
@@ -22,7 +36,14 @@ class CPD:
     the child axis for a fixed parent assignment sums to 1.
     """
 
-    __slots__ = ("child", "parents", "table", "_sampling_cdf", "_sampling_cdf2d")
+    __slots__ = (
+        "child",
+        "parents",
+        "table",
+        "_sampling_cdf",
+        "_sampling_cdf2d",
+        "_sampling_guide",
+    )
 
     def __init__(self, child: str, parents: Sequence[str], table: np.ndarray):
         self.child = child
@@ -30,6 +51,7 @@ class CPD:
         self.table = np.asarray(table, dtype=np.float64)
         self._sampling_cdf = None
         self._sampling_cdf2d = None
+        self._sampling_guide = None
         if self.child in self.parents:
             raise ValueError(f"{child!r} cannot be its own parent")
         if self.table.ndim != 1 + len(self.parents):
@@ -66,41 +88,75 @@ class CPD:
         """Flattened per-configuration cumulative table for inverse-CDF draws.
 
         Entry ``[config * child_cardinality + state]`` holds
-        ``config + P(child <= state | config)``, so the whole array is
-        sorted ascending and one ``searchsorted(cdf, config + u)`` maps a
-        uniform ``u`` to a child state for every row at once (the
-        vectorized sampling hot path).  Built lazily, cached for the
-        lifetime of the CPD; the table is assumed immutable afterwards.
+        ``config + P(child <= state | config)`` (the rows of
+        :meth:`sampling_cdf_matrix` laid end to end), so the whole
+        array is sorted ascending and one ``searchsorted(cdf, config +
+        u, side="right")`` maps a uniform ``u`` to a child state for
+        every row at once (the vectorized sampling hot path).  Built
+        lazily, cached for the lifetime of the CPD.
         """
         if self._sampling_cdf is None:
-            flat = self.table.reshape(self.child_cardinality, -1)
-            cdf = np.cumsum(flat, axis=0)
-            # Pin the top of each configuration's CDF at exactly 1 so a
-            # draw of u -> 1 can never index past the last state.
-            cdf[-1, :] = 1.0
-            offsets = np.arange(cdf.shape[1], dtype=np.float64)
-            self._sampling_cdf = np.ascontiguousarray((cdf + offsets).T).ravel()
+            rows = self.sampling_cdf_matrix()
+            offsets = np.arange(len(rows), dtype=np.float64)[:, None]
+            self._sampling_cdf = (rows + offsets).ravel()
         return self._sampling_cdf
 
     def sampling_cdf_matrix(self) -> np.ndarray:
-        """Per-configuration CDF rows for grouped inverse-CDF draws.
+        """Per-configuration CDF rows for inverse-CDF draws.
 
-        Row ``c`` holds ``P(child <= state | config c)`` with the last
-        entry pinned at exactly 1 — the same numbers
-        :meth:`sampling_cdf` lays end to end, minus the ``config``
-        offsets.  Grouped sampling (see
-        :func:`repro.bayes.sampling._draw_states`) gathers one row per
-        realized parent configuration and runs ``searchsorted`` inside
-        that tiny slice, instead of binary-searching the full
-        concatenated table for every sample.  Built lazily, cached for
-        the lifetime of the CPD.
+        Row ``c`` holds ``P(child <= state | config c)``, exact at its
+        edges: the cumulative sum is clamped at 1 (rounding can carry
+        it an ulp past 1 before the last state, which would leave the
+        row unsorted), and every entry from the row's last
+        positive-probability state on is exactly 1, so a uniform just
+        below 1 can never land on a trailing zero-probability state.
+        Grouped sampling (see :func:`repro.bayes.sampling._draw_states`)
+        gathers one row per realized parent configuration and runs
+        ``searchsorted`` inside that tiny slice, instead of searching
+        the full concatenated table for every sample.  Built lazily,
+        cached for the lifetime of the CPD; the table is assumed
+        immutable afterwards.
         """
         if self._sampling_cdf2d is None:
             flat = self.table.reshape(self.child_cardinality, -1)
-            cdf = np.cumsum(flat, axis=0)
-            cdf[-1, :] = 1.0
+            cdf = np.minimum(np.cumsum(flat, axis=0), 1.0)
+            states = np.arange(self.child_cardinality)[:, None]
+            last = states[-1] - np.argmax(flat[::-1] > 0, axis=0)
+            cdf[states >= last] = 1.0
             self._sampling_cdf2d = np.ascontiguousarray(cdf.T)
         return self._sampling_cdf2d
+
+    def sampling_guide(self) -> SamplingGuide:
+        """Guide table over :meth:`sampling_cdf` for inverse-CDF draws
+        (Chen & Asau 1974; Devroye, *Non-Uniform Random Variate
+        Generation*, 1986).
+
+        The key range ``[0, configs]`` is cut into equal buckets, and
+        ``guide[b]`` is the number of CDF entries at or below bucket
+        ``b``'s lower edge, lowered by half a bucket: no key that
+        rounds into bucket ``b`` has a smaller answer, so a forward
+        scan from ``guide[b]`` while ``cdf[i] <= key`` stops exactly
+        where ``searchsorted(cdf, key, side="right")`` does.  With 16
+        buckets per CDF entry (4096 at least) most scans take no step.
+        Built lazily, cached for the lifetime of the CPD.
+        """
+        if self._sampling_guide is None:
+            cdf = self.sampling_cdf()
+            configs = len(cdf) // self.child_cardinality
+            buckets = max(4096, 16 * len(cdf))
+            scale = buckets / configs
+            edges = (np.arange(buckets) - 0.5) / scale
+            guide = np.searchsorted(cdf, edges, side="right")
+            # A key c + u that rounds up to c + 1 would search past
+            # configuration c; draws clamp it to the last state a key
+            # below c + 1 can reach.
+            top = np.searchsorted(
+                cdf, np.arange(1, configs + 1, dtype=np.float64), side="left"
+            ) - np.arange(configs) * self.child_cardinality
+            self._sampling_guide = SamplingGuide(
+                np.append(cdf, np.inf), guide.astype(np.intp), scale, top
+            )
+        return self._sampling_guide
 
     def __repr__(self) -> str:
         return (

@@ -10,8 +10,10 @@ Both samplers are fully vectorized and tuned for the paper's
 1M-candidate runs:
 
 - each variable is drawn for *all* rows at once by inverse CDF — one
-  ``rng.random(n)`` plus ``searchsorted`` into the CPD's precomputed
-  cumulative table (:meth:`repro.bayes.cpd.CPD.sampling_cdf`);
+  ``rng.random(n)`` plus a guide-table search into the CPD's
+  precomputed cumulative table (:meth:`repro.bayes.cpd.CPD.sampling_cdf`,
+  :meth:`~repro.bayes.cpd.CPD.sampling_guide`): a bucket lookup and a
+  short scan that returns exactly what ``searchsorted`` would;
 - samples accumulate in a ``(num_vars, n)`` matrix so every per-variable
   read and write is contiguous (the transposed view handed back is what
   the encoder consumes column-wise, which that layout also makes
@@ -32,7 +34,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.bayes.cpd import CPD
+from repro.bayes.cpd import CPD, SamplingGuide
 from repro.bayes.network import BayesianNetwork
 
 #: Flat-CDF length beyond which grouped per-configuration draws beat
@@ -40,7 +42,9 @@ from repro.bayes.network import BayesianNetwork
 #: tables live in L1 where the flat binary search is already memory
 #: bound on reading the uniforms; past a few thousand entries the
 #: search's random accesses start missing cache while each realized
-#: configuration's slice still fits, so grouping wins.
+#: configuration's slice still fits, so grouping wins.  (Tuned against
+#: ``searchsorted``, before flat draws went through guide tables; the
+#: largest flat table of the S1/R1 models has a few hundred entries.)
 GROUPED_CDF_THRESHOLD = 2048
 
 
@@ -60,6 +64,21 @@ def _flat_parent_configs(
     return flat_config
 
 
+def _guided_search(guide: SamplingGuide, keys: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, keys, side="right")`` through a guide table
+    (:meth:`CPD.sampling_guide <repro.bayes.cpd.CPD.sampling_guide>`):
+    a bucket lookup, then a forward scan of the few rows whose bucket
+    start is still at or below their key."""
+    index = np.multiply(keys, guide.scale).astype(np.intp)
+    np.minimum(index, len(guide.guide) - 1, out=index)
+    guide.guide.take(index, out=index)
+    scan = np.flatnonzero(guide.cdf.take(index) <= keys)
+    while scan.size:
+        index[scan] += 1
+        scan = scan[guide.cdf.take(index[scan]) <= keys[scan]]
+    return index
+
+
 def _draw_states(
     cpd: CPD, flat_config: Optional[np.ndarray], u: np.ndarray
 ) -> np.ndarray:
@@ -69,7 +88,11 @@ def _draw_states(
     the number line (configuration ``c`` occupies ``[c, c + 1]``), so
     ``searchsorted(cdf, c + u, side="right")`` lands on the first state
     whose cumulative probability exceeds ``u`` — the classic inverse-CDF
-    method, with zero-probability states correctly skipped.
+    method, with zero-probability states correctly skipped.  The search
+    runs through the CPD's guide table (:func:`_guided_search`), which
+    returns the same index.  When ``c + u`` rounds up to ``c + 1`` the
+    index would fall past configuration ``c``; such rows are clamped to
+    the highest state a key below ``c + 1`` reaches.
 
     When the flat table is large (:data:`GROUPED_CDF_THRESHOLD`), rows
     are grouped by parent-state code instead and each group draws with
@@ -77,17 +100,20 @@ def _draw_states(
     the searched array cache-resident regardless of how many
     configurations the CPD has.
     """
-    cdf = cpd.sampling_cdf()
     if not cpd.parents:
         # Root variable: every row shares configuration 0 (callers may
-        # pass flat_config=None rather than build a zero vector).
-        return np.searchsorted(cdf, u, side="right")
-    if len(cdf) <= GROUPED_CDF_THRESHOLD:
-        keys = flat_config + u
-        return (
-            np.searchsorted(cdf, keys, side="right")
-            - flat_config * cpd.child_cardinality
-        )
+        # pass flat_config=None rather than build a zero vector), and
+        # u < 1 keeps every key inside it.
+        return _guided_search(cpd.sampling_guide(), u)
+    if len(cpd.sampling_cdf()) <= GROUPED_CDF_THRESHOLD:
+        guide = cpd.sampling_guide()
+        cardinality = cpd.child_cardinality
+        states = _guided_search(guide, flat_config + u)
+        states -= flat_config * cardinality
+        over = np.flatnonzero(states >= cardinality)
+        if over.size:
+            states[over] = guide.top[flat_config[over]]
+        return states
     return _draw_states_grouped(cpd, flat_config, u)
 
 
@@ -161,7 +187,7 @@ def forward_sample(
 
     Returns an (n_samples, num_vars) integer matrix with columns in
     ``network.variables`` order.  One uniform vector and one
-    ``searchsorted`` per non-degenerate variable — no per-configuration
+    inverse-CDF search per non-degenerate variable — no per-configuration
     Python loops, no uniforms burned on cardinality-1 variables.
 
     The result is a transposed view of the internal ``(num_vars, n)``

@@ -82,12 +82,16 @@ class GenerationSession:
     combined exclusion + dedup index for the lifetime of that loop —
     seeded once with the initial exclusions (typically the training
     set), then fed each ``generate_set(..., state=session)`` call's
-    returned rows (and nothing else, so an oversampled batch's
-    overshoot is never permanently excluded).  Per-call cost therefore
-    depends only on the batches drawn in that call, never on the
-    length of the campaign history; and because the session is
-    independent of the model object, an adaptive refit simply reuses
-    it — only the BN changed, not the probed universe.
+    returned rows and nothing else: each batch is cut exactly at the
+    call's outstanding need, and rows past the cut are never inserted,
+    so an oversampled batch's overshoot is never excluded.  (A
+    low-yield batch, whose need is under half its rows, is inserted
+    reversibly and an overshoot rolled back exactly; see
+    :meth:`~repro.ipv6.sets.BucketTable.insert_packed`.)  Per-call
+    cost therefore depends only on the batches drawn in that call,
+    never on the length of the campaign history; and because the
+    session is independent of the model object, an adaptive refit
+    simply reuses it — only the BN changed, not the probed universe.
 
     The output contract is unchanged: a sequence of session-backed
     calls is bit-identical to the legacy pattern of re-passing an
@@ -378,11 +382,11 @@ def run_generation_rounds(
     index, and the rows this call returns stay in it, so the next call
     (or the next campaign round) excludes them automatically without
     anyone re-feeding the probed history.  Batch inserts are bounded by
-    the outstanding need, so an oversampled final round's overshoot is
-    rolled back rather than retired — the session ends the call holding
-    exactly its prior rows plus the rows returned, which keeps
-    session-backed sequences bit-identical to the legacy grow-and-repass
-    ``exclude`` pattern.
+    the outstanding need: each batch is cut exactly; rows past the cut
+    are never inserted, so an oversampled final round's overshoot is
+    not retired — the session ends the call holding exactly its prior
+    rows plus the rows returned, which keeps session-backed sequences
+    bit-identical to the legacy grow-and-repass ``exclude`` pattern.
 
     ``constrained`` marks evidence-constrained draws, which materialize
     an oversample=4 likelihood-weighting pool per batch and therefore
@@ -440,8 +444,9 @@ def run_generation_rounds(
         # The returned rows are identical to the unbounded
         # insert-then-truncate pattern (the limited mask keeps the
         # first ``need`` fresh rows in stream order — exactly the rows
-        # truncation kept), and for a persistent session the rollback
-        # is what keeps future calls able to re-emit the overshoot.
+        # truncation kept), and for a persistent session the exact cut
+        # (rows past it are never inserted) is what keeps future calls
+        # able to re-emit the overshoot.
         fresh = seen.insert_packed(words, limit=need)
         new_found = int(np.count_nonzero(fresh))
         if new_found:

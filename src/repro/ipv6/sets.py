@@ -259,12 +259,12 @@ class BucketTable:
     :meth:`insert_packed` is the first-class incremental API a
     long-lived table (a campaign's combined exclusion+dedup index)
     runs on: batch insert returning the fresh-row mask, an optional
-    ``limit`` on how many fresh rows a batch may admit (the rest are
-    rolled back exactly, so a generation round that overshoots its
-    target never pollutes the persistent state), and the
-    :attr:`rows_stored`/:attr:`rows_offered` snapshot counters.
-    Growth rehashes from the stored columns only — source matrices
-    that were folded in are never re-read.
+    ``limit`` on how many fresh rows a batch may admit (the batch is
+    cut exactly; rows past the cut are never inserted, so a generation
+    round that overshoots its target never pollutes the persistent
+    state), and the :attr:`rows_stored`/:attr:`rows_offered` snapshot
+    counters.  Growth rehashes from the stored columns only — source
+    matrices that were folded in are never re-read.
 
     All operations are vectorized over batches; nothing on the probe
     path touches per-row Python.
@@ -317,12 +317,12 @@ class BucketTable:
         self._count = 0
         self._offered = 0
         # Per-insert undo log (slot indices written, growth flag) —
-        # what makes the bounded :meth:`insert_packed` able to roll an
-        # over-admitting batch back exactly.  Slot indices are only
-        # recorded while armed (the ``insert_packed(limit=...)`` path):
-        # an unarmed bulk insert — e.g. seeding a million-row
-        # membership index — must not pin its won-slot arrays for the
-        # table's lifetime.
+        # what makes :meth:`insert_reversible` able to roll a batch
+        # back exactly (the low-yield ``insert_packed(limit=...)``
+        # path, capped observes, sharded backends).  Slot indices are
+        # only recorded while armed: an unarmed bulk insert — e.g.
+        # seeding a million-row membership index — must not pin its
+        # won-slot arrays for the table's lifetime.
         self._undo_slots: List[np.ndarray] = []
         self._undo_grew = False
         self._undo_armed = False
@@ -662,14 +662,23 @@ class BucketTable:
 
         With ``limit=None`` this is exactly :meth:`insert`.  With a
         limit, at most the first ``limit`` fresh rows (in batch order)
-        are admitted; any further fresh rows are rolled back exactly —
-        their slots are released (or, if the batch triggered a growth,
-        the slot array is rebuilt from the surviving stored rows), so
-        the table ends in the precise state of having only ever seen
-        the admitted rows.  This is what lets a persistent campaign
-        session feed a whole oversampled generation batch through the
-        table without the overshoot beyond the round's target becoming
-        permanently excluded.
+        are admitted, and the table ends in the precise state of having
+        only ever seen the admitted rows.  This is what lets a
+        persistent campaign session feed a whole oversampled generation
+        batch through the table without the overshoot beyond the
+        round's target becoming permanently excluded.
+
+        When the limit is at least half the batch — a high-yield
+        generation round — the batch is cut exactly; rows past the cut
+        are never inserted.  The first ``limit`` rows go in with a
+        plain :meth:`insert` (a chunk no longer than the outstanding
+        need cannot overshoot); a rest no longer than the need still
+        outstanding goes in the same way, and a longer one is screened
+        read-only first (:meth:`_screen`), so only its admitted rows
+        are inserted.  Below that ratio — low-yield rounds, which
+        rarely overshoot — the batch is inserted reversibly and an
+        overshoot is rolled back exactly before the admitted rows are
+        re-inserted (:meth:`_insert_packed_reverting`).
 
         ``rows_offered`` counts the full batch either way; admitted
         rows keep their true stream positions as default ids.
@@ -678,6 +687,62 @@ class BucketTable:
             return self.insert(words, ids)
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
+        if 2 * limit < len(words):
+            return self._insert_packed_reverting(words, ids, limit)
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        m = len(words)
+        offered_mark = self._offered
+        if ids is None:
+            ids = np.arange(offered_mark, offered_mark + m, dtype=np.int64)
+        else:
+            ids = np.ascontiguousarray(ids, dtype=np.int64)
+            if ids.shape != (m,):
+                raise ValueError("ids must be one per inserted row")
+        fresh = np.zeros(m, dtype=bool)
+        fresh[:limit] = self.insert(words[:limit], ids[:limit])
+        need = limit - int(np.count_nonzero(fresh))
+        if need and m > limit:
+            if m - limit <= need:
+                fresh[limit:] = self.insert(words[limit:], ids[limit:])
+            else:
+                admit = limit + self._screen(words[limit:], need)
+                # Screened rows are distinct and absent: all go in fresh.
+                self.insert(words[admit], ids[admit])
+                fresh[admit] = True
+        self._offered = offered_mark + m
+        return fresh
+
+    def _screen(self, words: np.ndarray, need: int) -> np.ndarray:
+        """Ascending positions of the first ``need`` rows of ``words``
+        an :meth:`insert` would admit, found without writing to the
+        table.
+
+        ``words`` is read in slices that double from ``need`` rows:
+        each slice is looked up here, and its misses go through a
+        scratch table, which keeps only each row's first occurrence
+        across slices.  Reading stops once ``need`` rows are found, so
+        a mostly fresh batch tail is read only a little past its cut.
+        """
+        scratch = BucketTable(self._word_count, capacity=need)
+        found: List[np.ndarray] = []
+        total, start, stop = 0, 0, need
+        while total < need and start < len(words):
+            chunk = words[start:stop]
+            miss = np.flatnonzero(self.lookup(chunk) < 0)
+            first = start + miss[scratch.insert(chunk[miss])]
+            found.append(first)
+            total += len(first)
+            start, stop = stop, 2 * stop
+        return np.concatenate(found)[:need]
+
+    def _insert_packed_reverting(
+        self, words: np.ndarray, ids: Optional[np.ndarray], limit: int
+    ) -> np.ndarray:
+        """The low-yield :meth:`insert_packed`: insert the whole batch
+        reversibly and, if it admitted more than ``limit`` fresh rows,
+        roll it back exactly — slots released, or the slot array
+        rebuilt from the surviving stored rows if the batch grew it —
+        and re-insert only the first ``limit`` of them."""
         count_mark = self._count
         offered_mark = self._offered
         fresh = self.insert_reversible(words, ids)
@@ -816,6 +881,10 @@ class AddressSet:
         matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
         if matrix.ndim != 2:
             raise ValueError(f"expected 2-D nybble matrix, got {matrix.ndim}-D")
+        if matrix.shape[1] > NYBBLES_PER_ADDRESS:
+            raise ValueError(
+                f"rows of {matrix.shape[1]} nybbles are wider than an address"
+            )
         if matrix.size and matrix.max() > 0xF:
             raise ValueError("nybble matrix contains values > 0xf")
         self._matrix = matrix

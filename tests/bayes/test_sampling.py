@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bayes.cpd import CPD
 from repro.bayes.inference import VariableElimination
 from repro.bayes.network import BayesianNetwork
 from repro.bayes.sampling import (
+    _draw_states,
+    _guided_search,
     forward_sample,
     likelihood_weighted_sample,
     sample_assignments,
 )
+
+#: The largest value ``Generator.random()`` returns.
+TOP_U = 1 - 2**-53
 
 
 @pytest.fixture
@@ -122,12 +128,123 @@ class TestInverseCdfEquivalence:
         # Config c occupies [c, c+1] and tops out at exactly c + 1.
         assert cdf.tolist() == [0.25, 1.0, 1.5, 2.0]
         assert cdf is cpd.sampling_cdf()  # cached
+        assert cpd.sampling_guide() is cpd.sampling_guide()
 
     def test_large_sample_deterministic_and_in_range(self, coupled):
         a = forward_sample(coupled, 200_000, np.random.default_rng(9))
         b = forward_sample(coupled, 200_000, np.random.default_rng(9))
         assert np.array_equal(a, b)
         assert a.min() >= 0 and a.max() <= 1
+
+
+class TestInverseCdfEdges:
+    """Faults at the edges of the inverse-CDF tables, each one a case
+    the parent code got wrong."""
+
+    def test_non_monotone_cdf(self):
+        # 6/30 + 23/30 + 1/30 sums to 1 + 2**-52: the cumsum passed the
+        # pinned top of 1.0, leaving the searched table unsorted.
+        cpd = CPD("x", (), np.array([6, 23, 1, 0]) / 30)
+        assert np.cumsum(cpd.table)[2] > 1.0
+        cdf = cpd.sampling_cdf()
+        assert np.all(np.diff(cdf) >= 0)
+        assert cdf[2:].tolist() == [1.0, 1.0]
+        counts = np.array([[6, 1], [23, 1], [1, 1], [0, 1]])
+        child = CPD("y", ("x",), counts / counts.sum(axis=0))
+        assert np.all(np.diff(child.sampling_cdf()) >= 0)
+        assert child.sampling_cdf_matrix()[0, 2:].tolist() == [1.0, 1.0]
+
+    def test_state_out_of_range(self):
+        # Configuration 1 at the top uniform: 1 + TOP_U rounds to 2.0,
+        # which searched past the configuration to state 3 of 3.
+        cpd = CPD("X", ["P"], [[0.5, 0.2], [0.5, 0.3], [0.0, 0.5]])
+        u = np.array([TOP_U, TOP_U, 0.0])
+        flat_config = np.array([1, 0, 1])
+        assert _draw_states(cpd, flat_config, u).tolist() == [2, 1, 0]
+        # The unclamped search is what went wrong.
+        assert np.searchsorted(cpd.sampling_cdf(), 1 + TOP_U, side="right") == 6
+
+    def test_zero_probability_state_drawn(self):
+        # The cumsum at the last positive state (3) is TOP_U itself, so
+        # the top uniform fell through to the trailing zero state 5.
+        table = np.array([0, 8922, 101, 1016, 0, 0]) / 10039
+        assert np.cumsum(table)[3] == TOP_U
+        root = CPD("x", (), table)
+        states = _draw_states(root, None, np.array([TOP_U, 0.0]))
+        assert states.tolist() == [3, 1]
+        child = CPD("y", ("x",), np.stack([table, table[::-1]], axis=1))
+        states = _draw_states(child, np.array([0, 1]), np.array([TOP_U, 0.0]))
+        assert states.tolist() == [3, 2]
+
+
+def _random_cpd(seed: int, card: int, configs: int) -> CPD:
+    """A CPD with zero cells and rounding-prone probabilities; a root
+    variable when it has one configuration."""
+    rng = np.random.default_rng(seed)
+    raw = rng.random((card, configs)) * (rng.random((card, configs)) < 0.6)
+    raw[rng.integers(0, card, size=configs), np.arange(configs)] += 0.1
+    table = raw / raw.sum(axis=0)
+    if configs == 1:
+        return CPD("y", (), table[:, 0])
+    return CPD("y", ("x",), table)
+
+
+def _edge_keys(cpd: CPD) -> np.ndarray:
+    """Keys at every CDF entry and every guide bucket edge, each
+    +-2 ulp, plus the ends of every configuration's key range."""
+    cdf = cpd.sampling_cdf()
+    guide = cpd.sampling_guide()
+    configs = len(cdf) // cpd.child_cardinality
+    edges = np.arange(len(guide.guide)) / guide.scale
+    base = np.concatenate([cdf, edges, np.arange(configs + 1.0)])
+    keys = [base]
+    for direction in (-np.inf, np.inf):
+        step = base
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            keys.append(step)
+    keys = np.concatenate(keys)
+    return keys[(keys >= 0) & (keys <= configs)]
+
+
+class TestGuideTable:
+    """The guide-table draw is ``searchsorted(side="right")`` exactly,
+    clamped to each configuration's range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 20)
+    )
+    def test_guided_search_equals_searchsorted(self, seed, card, configs):
+        cpd = _random_cpd(seed, card, configs)
+        keys = _edge_keys(cpd)
+        expected = np.searchsorted(cpd.sampling_cdf(), keys, side="right")
+        assert np.array_equal(_guided_search(cpd.sampling_guide(), keys),
+                              expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 20)
+    )
+    def test_draw_equals_clamped_searchsorted(self, seed, card, configs):
+        cpd = _random_cpd(seed, card, configs)
+        keys = _edge_keys(cpd)
+        flat_config = np.minimum(np.floor(keys), configs - 1).astype(np.int64)
+        u = np.clip(keys - flat_config, 0.0, TOP_U)
+        u = np.concatenate([u, np.zeros(configs), np.full(configs, TOP_U)])
+        flat_config = np.concatenate(
+            [flat_config, np.arange(configs), np.arange(configs)]
+        )
+        cdf = cpd.sampling_cdf()
+        found = np.searchsorted(cdf, flat_config + u, side="right")
+        top = np.searchsorted(cdf, flat_config + 1.0, side="left")
+        expected = np.minimum(found, top) - flat_config * card
+        if configs == 1:
+            states = _draw_states(cpd, None, u)
+        else:
+            states = _draw_states(cpd, flat_config, u)
+        assert np.array_equal(states, expected)
+        assert np.all(cpd.table.reshape(card, -1)[states, flat_config] > 0)
 
 
 class TestGroupedDraws:

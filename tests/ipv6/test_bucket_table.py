@@ -9,6 +9,7 @@ reference index and a plain Python-set oracle.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.ipv6.sets as sets_module
 from repro.ipv6.sets import AddressSet, BucketTable, pack_rows
@@ -358,6 +359,102 @@ class TestPersistentSession:
             probe.lookup(train.packed_rows()),
             parallel_session.table.lookup(train.packed_rows()),
         )
+
+
+#: Folds for the limited-insert property: the real one, and two that
+#: force collisions between distinct rows.
+_FOLDS = {
+    "mixed": None,
+    "weak": lambda words: words[:, 0] & np.uint64(3),
+    "constant": lambda words: np.zeros(len(words), dtype=np.uint64),
+}
+
+
+class TestLimitedInsertOracle:
+    """``insert_packed(words, limit=k)`` against a Python-set oracle,
+    on both sides of the half-batch ratio where the exact cut takes
+    over from the reversible insert."""
+
+    def test_exact_cut_screens_the_tail(self):
+        # limit 3 of 6 rows takes the exact cut: the head [a, a, a]
+        # admits one row, and the tail is screened for the other two —
+        # a stored row and an in-tail duplicate are passed over.
+        a, b, c, s = ([v, v] for v in (1, 2, 3, 4))
+        table = BucketTable(2)
+        table.insert_packed(np.array([s], dtype=np.uint64))
+        words = np.array([a, a, a, s, b, b, c, c], dtype=np.uint64)
+        fresh = table.insert_packed(words[:6], limit=3)
+        assert np.flatnonzero(fresh).tolist() == [0, 4]
+        fresh = table.insert_packed(words, limit=4)
+        assert np.flatnonzero(fresh).tolist() == [6]
+        assert table.lookup(words).tolist() == [1, 1, 1, 0, 5, 5, 13, 13]
+
+    def test_exact_cut_stops_at_the_need(self):
+        # Need 2 after the head; the screen reads the tail in slices
+        # [s, c] (one fresh) and [d, e] (two fresh) and cuts after d.
+        a, b, c, d, e, s = ([v, v] for v in range(1, 7))
+        table = BucketTable(2)
+        table.insert_packed(np.array([s], dtype=np.uint64))
+        words = np.array([a, b, a, b, s, c, d, e], dtype=np.uint64)
+        fresh = table.insert_packed(words, limit=4)
+        assert np.flatnonzero(fresh).tolist() == [0, 1, 5, 6]
+        assert len(table) == 5
+        assert table.lookup(words[7:]).tolist() == [-1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        distinct=st.integers(1, 40),
+        stored=st.lists(st.integers(0, 39), max_size=30),
+        batch=st.lists(st.integers(0, 39), max_size=60),
+        extra_limit=st.integers(0, 64),
+        fold=st.sampled_from(sorted(_FOLDS)),
+        capacity=st.sampled_from([0, 128]),
+        explicit_ids=st.booleans(),
+    )
+    def test_against_python_set(
+        self, seed, distinct, stored, batch, extra_limit, fold, capacity,
+        explicit_ids,
+    ):
+        rng = np.random.default_rng(seed)
+        pool = _random_words(rng, 40)
+        # Fewer distinct rows, more duplicates in the batch and overlap
+        # with the stored rows.
+        stored = [i % distinct for i in stored]
+        words = pool[[i % distinct for i in batch]]
+        limit = min(extra_limit, len(batch) + 3)
+        with pytest.MonkeyPatch.context() as patch:
+            if _FOLDS[fold] is not None:
+                patch.setattr(sets_module, "_mix_words", _FOLDS[fold])
+            table = BucketTable(2, capacity=capacity)
+            table.insert_packed(pool[stored])
+            mark = table.rows_offered
+            ids = 1000 + np.arange(len(words)) if explicit_ids else None
+            fresh = table.insert_packed(words, ids=ids, limit=limit)
+
+            seen = {tuple(row) for row in pool[stored].tolist()}
+            first_fresh = []
+            for i, row in enumerate(map(tuple, words.tolist())):
+                if row not in seen:
+                    seen.add(row)
+                    first_fresh.append(i)
+            admitted = np.array(first_fresh[:limit], dtype=np.int64)
+            assert np.flatnonzero(fresh).tolist() == admitted.tolist()
+            stream = (1000 if explicit_ids else mark) + admitted
+            assert table.lookup(words[admitted]).tolist() == stream.tolist()
+            assert table.rows_offered == mark + len(words)
+
+            reference = BucketTable(2, capacity=capacity)
+            reference.insert_packed(pool[stored])
+            reference.insert(words[admitted], ids=stream)
+            probe = np.vstack([pool, _random_words(rng, 20)])
+            assert np.array_equal(table.lookup(probe), reference.lookup(probe))
+            assert len(table) == len(reference)
+            assert table.state_digest() == reference.state_digest()
+            # Later batches see the same table.
+            assert np.array_equal(
+                table.insert_packed(pool), reference.insert_packed(pool)
+            )
 
 
 class TestAgainstReferences:

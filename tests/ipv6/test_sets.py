@@ -55,6 +55,11 @@ class TestConstruction:
             AddressSet(np.full((2, 4), 16, dtype=np.uint8))
         with pytest.raises(ValueError):
             AddressSet(np.zeros(4, dtype=np.uint8))
+        # Wider than an address: addresses() and to_ints() would fail
+        # or overflow 128 bits later.
+        with pytest.raises(ValueError, match="40 nybbles"):
+            AddressSet(np.ones((2, 40), dtype=np.uint8))
+        assert AddressSet(np.ones((2, 32), dtype=np.uint8)).width == 32
 
     def test_empty(self):
         s = AddressSet.empty(width=16)
