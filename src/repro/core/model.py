@@ -84,10 +84,8 @@ class GenerationSession:
     set), then fed each ``generate_set(..., state=session)`` call's
     returned rows and nothing else: each batch is cut exactly at the
     call's outstanding need, and rows past the cut are never inserted,
-    so an oversampled batch's overshoot is never excluded.  (A
-    low-yield batch, whose need is under half its rows, is inserted
-    reversibly and an overshoot rolled back exactly; see
-    :meth:`~repro.ipv6.sets.BucketTable.insert_packed`.)  Per-call
+    so an oversampled batch's overshoot is never excluded (see
+    :meth:`~repro.ipv6.sets.BucketTable.insert_packed`).  Per-call
     cost therefore depends only on the batches drawn in that call,
     never on the length of the campaign history; and because the
     session is independent of the model object, an adaptive refit

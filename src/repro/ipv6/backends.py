@@ -27,8 +27,8 @@ This module puts the table behind a small protocol
 Both backends share exact semantics: batched first-occurrence insert,
 word-verified lookup (exact across fold collisions), stream-position
 ids, and an exact ``insert_packed(limit=...)`` (the flat table cuts a
-high-yield batch before inserting past the limit; the sharded one
-rolls back per shard).
+batch before inserting past the limit; the sharded one rolls back
+per shard).
 The test suite pins the sharded backend row-for-row against the
 in-memory one and against a Python-set oracle.
 """

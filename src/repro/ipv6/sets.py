@@ -17,8 +17,9 @@ generation dedup and batch membership
 :meth:`AddressSet.prefixes64`/:meth:`~AddressSet.value_words` feed the
 scan layer's /64 accounting and keyed-hash oracles — the whole §5.5
 scoring path never materializes a per-row Python integer.
-:func:`first_occurrence_positions` remains as the sort-based dedup
-reference, and the sorted searchsorted index survives as
+:func:`first_occurrence_positions` is the sort-based dedup that
+:meth:`BucketTable.insert_packed` screens a batch tail with, and the
+sorted searchsorted index survives as
 :meth:`AddressSet._match_rows_sorted` so the perf harness can measure
 the bucket table against it on identical batches.
 """
@@ -318,11 +319,10 @@ class BucketTable:
         self._offered = 0
         # Per-insert undo log (slot indices written, growth flag) —
         # what makes :meth:`insert_reversible` able to roll a batch
-        # back exactly (the low-yield ``insert_packed(limit=...)``
-        # path, capped observes, sharded backends).  Slot indices are
-        # only recorded while armed: an unarmed bulk insert — e.g.
-        # seeding a million-row membership index — must not pin its
-        # won-slot arrays for the table's lifetime.
+        # back exactly (capped observes, sharded backends).  Slot
+        # indices are only recorded while armed: an unarmed bulk
+        # insert — e.g. seeding a million-row membership index — must
+        # not pin its won-slot arrays for the table's lifetime.
         self._undo_slots: List[np.ndarray] = []
         self._undo_grew = False
         self._undo_armed = False
@@ -668,27 +668,22 @@ class BucketTable:
         batch through the table without the overshoot beyond the
         round's target becoming permanently excluded.
 
-        When the limit is at least half the batch — a high-yield
-        generation round — the batch is cut exactly; rows past the cut
-        are never inserted.  The first ``limit`` rows go in with a
-        plain :meth:`insert` (a chunk no longer than the outstanding
-        need cannot overshoot); a rest no longer than the need still
+        The batch is cut exactly; rows past the cut are never
+        inserted.  The first ``limit`` rows go in with a plain
+        :meth:`insert` (a chunk no longer than the outstanding need
+        cannot overshoot); a rest no longer than the need still
         outstanding goes in the same way, and a longer one is screened
         read-only first (:meth:`_screen`), so only its admitted rows
-        are inserted.  Below that ratio — low-yield rounds, which
-        rarely overshoot — the batch is inserted reversibly and an
-        overshoot is rolled back exactly before the admitted rows are
-        re-inserted (:meth:`_insert_packed_reverting`).
+        are inserted.
 
-        ``rows_offered`` counts the full batch either way; admitted
-        rows keep their true stream positions as default ids.
+        ``rows_offered`` counts the full batch with or without a
+        limit; admitted rows keep their true stream positions as
+        default ids.
         """
         if limit is None:
             return self.insert(words, ids)
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")
-        if 2 * limit < len(words):
-            return self._insert_packed_reverting(words, ids, limit)
         words = np.ascontiguousarray(words, dtype=np.uint64)
         m = len(words)
         offered_mark = self._offered
@@ -705,64 +700,41 @@ class BucketTable:
             if m - limit <= need:
                 fresh[limit:] = self.insert(words[limit:], ids[limit:])
             else:
-                admit = limit + self._screen(words[limit:], need)
-                # Screened rows are distinct and absent: all go in fresh.
-                self.insert(words[admit], ids[admit])
-                fresh[admit] = True
+                # Expect the rest to yield like the head; read an
+                # eighth more than that in the first slice.
+                head = limit - need
+                first = need * limit // head if head else m
+                offer = limit + self._screen(
+                    words[limit:], need, first + need // 8
+                )
+                fresh[offer] = self.insert(words[offer], ids[offer])
         self._offered = offered_mark + m
         return fresh
 
-    def _screen(self, words: np.ndarray, need: int) -> np.ndarray:
-        """Ascending positions of the first ``need`` rows of ``words``
-        an :meth:`insert` would admit, found without writing to the
+    def _screen(self, words: np.ndarray, need: int, first: int) -> np.ndarray:
+        """Ascending positions of rows of ``words`` whose :meth:`insert`
+        admits just the first ``need`` rows (all, when fewer) that an
+        insert of all of ``words`` would, found without writing to the
         table.
 
-        ``words`` is read in slices that double from ``need`` rows:
-        each slice is looked up here, and its misses go through a
-        scratch table, which keeps only each row's first occurrence
-        across slices.  Reading stops once ``need`` rows are found, so
-        a mostly fresh batch tail is read only a little past its cut.
+        ``words`` is read in slices, ``first`` rows and then doubling,
+        and each slice is probed here.  While no more than ``need`` rows
+        missed, inserting them all cannot overshoot, so they are not
+        deduplicated; past that, their first occurrences
+        (:func:`first_occurrence_positions`) are cut at ``need``, and
+        reading stops once that many are found.
         """
-        scratch = BucketTable(self._word_count, capacity=need)
-        found: List[np.ndarray] = []
-        total, start, stop = 0, 0, need
-        while total < need and start < len(words):
-            chunk = words[start:stop]
-            miss = np.flatnonzero(self.lookup(chunk) < 0)
-            first = start + miss[scratch.insert(chunk[miss])]
-            found.append(first)
-            total += len(first)
+        miss = np.empty(0, dtype=np.intp)
+        start, stop = 0, first
+        while start < len(words):
+            found = np.flatnonzero(self._find(words[start:stop]) < 0)
+            miss = np.concatenate([miss, start + found])
+            if len(miss) > need:
+                distinct = miss[first_occurrence_positions(words[miss])]
+                if len(distinct) >= need:
+                    return distinct[:need]
             start, stop = stop, 2 * stop
-        return np.concatenate(found)[:need]
-
-    def _insert_packed_reverting(
-        self, words: np.ndarray, ids: Optional[np.ndarray], limit: int
-    ) -> np.ndarray:
-        """The low-yield :meth:`insert_packed`: insert the whole batch
-        reversibly and, if it admitted more than ``limit`` fresh rows,
-        roll it back exactly — slots released, or the slot array
-        rebuilt from the surviving stored rows if the batch grew it —
-        and re-insert only the first ``limit`` of them."""
-        count_mark = self._count
-        offered_mark = self._offered
-        fresh = self.insert_reversible(words, ids)
-        if self._count - count_mark <= limit:
-            self.commit_insert()
-            return fresh
-        self.revert_insert()
-        positions = np.flatnonzero(fresh)[:limit]
-        if ids is None:
-            admit_ids = offered_mark + positions
-        else:
-            admit_ids = np.ascontiguousarray(ids, dtype=np.int64)[positions]
-        limited = np.zeros(len(fresh), dtype=bool)
-        if positions.size:
-            # Re-admitting only previously-fresh rows: every one lands
-            # as fresh again, so the admitted set is exact.
-            self.insert(words[positions], ids=admit_ids)
-            limited[positions] = True
-        self._offered = offered_mark + len(words)
-        return limited
+        return miss
 
     def _rollback(self, count_mark: int, offered_mark: int) -> None:
         """Undo the most recent :meth:`insert` call entirely.
@@ -794,6 +766,14 @@ class BucketTable:
         is word-verified, so the answer is exact even across fold
         collisions.
         """
+        found = self._find(words)
+        hit = found >= 0
+        found[hit] = self._ids[found[hit]]
+        return found
+
+    def _find(self, words: np.ndarray) -> np.ndarray:
+        """Storage index of each queried row, or -1 when absent: the
+        probe behind :meth:`lookup`, without its gather of ids."""
         words = np.ascontiguousarray(words, dtype=np.uint64)
         if words.ndim != 2 or words.shape[1] != self._word_count:
             raise ValueError(
@@ -824,8 +804,7 @@ class BucketTable:
             match[key_eq] = (
                 self._words[cand] == words[o_pos[key_eq]]
             ).all(axis=1)
-        hit = o_pos[match]
-        out[hit] = self._ids[stored[match]]
+        out[o_pos[match]] = stored[match]
         pending = o_pos[~match]
         probe = (probe[pending] + 1) & step
         while pending.size:
@@ -845,7 +824,7 @@ class BucketTable:
                         self._words[cand] == words[rows_eq]
                     ).all(axis=1)
                 hit = o_pos[match]
-                out[pending[hit]] = self._ids[stored[match]]
+                out[pending[hit]] = stored[match]
                 resolved[hit] = True
                 mismatch = o_pos[~match]
                 probe[mismatch] = (probe[mismatch] + 1) & step
@@ -855,8 +834,8 @@ class BucketTable:
         return out
 
     def contains(self, words: np.ndarray) -> np.ndarray:
-        """Boolean membership mask (thin wrapper over :meth:`lookup`)."""
-        return self.lookup(words) >= 0
+        """Boolean membership mask."""
+        return self._find(words) >= 0
 
 
 class AddressSet:

@@ -372,13 +372,12 @@ _FOLDS = {
 
 class TestLimitedInsertOracle:
     """``insert_packed(words, limit=k)`` against a Python-set oracle,
-    on both sides of the half-batch ratio where the exact cut takes
-    over from the reversible insert."""
+    for limits from 0 to past the batch."""
 
     def test_exact_cut_screens_the_tail(self):
-        # limit 3 of 6 rows takes the exact cut: the head [a, a, a]
-        # admits one row, and the tail is screened for the other two —
-        # a stored row and an in-tail duplicate are passed over.
+        # limit 3 of 6 rows: the head [a, a, a] admits one row, and the
+        # tail is screened for the other two — a stored row and an
+        # in-tail duplicate are passed over.
         a, b, c, s = ([v, v] for v in (1, 2, 3, 4))
         table = BucketTable(2)
         table.insert_packed(np.array([s], dtype=np.uint64))
@@ -390,8 +389,9 @@ class TestLimitedInsertOracle:
         assert table.lookup(words).tolist() == [1, 1, 1, 0, 5, 5, 13, 13]
 
     def test_exact_cut_stops_at_the_need(self):
-        # Need 2 after the head; the screen reads the tail in slices
-        # [s, c] (one fresh) and [d, e] (two fresh) and cuts after d.
+        # Need 2 after the head, which admitted 2 of its 4 rows, so the
+        # screen reads 4 tail rows [s, c, d, e] at once (three fresh)
+        # and cuts after d.
         a, b, c, d, e, s = ([v, v] for v in range(1, 7))
         table = BucketTable(2)
         table.insert_packed(np.array([s], dtype=np.uint64))
@@ -400,6 +400,19 @@ class TestLimitedInsertOracle:
         assert np.flatnonzero(fresh).tolist() == [0, 1, 5, 6]
         assert len(table) == 5
         assert table.lookup(words[7:]).tolist() == [-1]
+
+    def test_exact_cut_reads_doubling_slices(self):
+        # Need 1 after the head, which admitted 3 of its 4 rows, so the
+        # screen expects one tail row to do and reads slices [s], [a]
+        # (neither fresh) and [d, e], and cuts after d.
+        a, b, c, d, e, s = ([v, v] for v in range(1, 7))
+        table = BucketTable(2)
+        table.insert_packed(np.array([s], dtype=np.uint64))
+        words = np.array([a, b, c, a, s, a, d, e], dtype=np.uint64)
+        fresh = table.insert_packed(words, limit=4)
+        assert np.flatnonzero(fresh).tolist() == [0, 1, 2, 6]
+        assert len(table) == 5
+        assert table.lookup(words[6:]).tolist() == [7, -1]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -449,6 +462,9 @@ class TestLimitedInsertOracle:
             reference.insert(words[admitted], ids=stream)
             probe = np.vstack([pool, _random_words(rng, 20)])
             assert np.array_equal(table.lookup(probe), reference.lookup(probe))
+            assert np.array_equal(
+                table.contains(probe), reference.lookup(probe) >= 0
+            )
             assert len(table) == len(reference)
             assert table.state_digest() == reference.state_digest()
             # Later batches see the same table.
