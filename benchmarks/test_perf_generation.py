@@ -28,10 +28,7 @@ ingest pipeline lands on the refit-every-batch reference's exact final
 model with strictly fewer refits — the drift signal firing on the
 feed's renumbering event, not on every batch (the
 ``streaming_ingest`` stage), and the sharded engine's output is
-bit-identical across executor backends and worker counts — serial,
-thread, process — with the process executor's scaling gated only on
-hosts whose affinity mask grants the cores to observe it (the
-``process_parallel`` stage).
+bit-identical across worker counts (the ``workers`` stage).
 
 With ``REPRO_BENCH_CANDIDATES`` set below the full scale the run is a
 smoke pass: the whole pipeline still executes and the structural and
@@ -132,20 +129,8 @@ MAX_SERVICE_OVERHEAD = 1.5
 MAX_INGEST_REFIT_FRACTION = 0.5
 MIN_INGEST_ROWS_PER_SECOND = 2_000.0
 
-#: Process-parallel gates.  Bit-identity of every backend/worker run
-#: to the serial reference is asserted at ANY scale — it is the
-#: engine's determinism contract, not a throughput property.  The
-#: scaling gate — the process executor at 4 workers at least 2x the
-#: serial reference, and actually running on processes rather than a
-#: degraded thread fallback — arms only at full scale AND when the
-#: record's ``available_cpus`` (the host's affinity mask at measure
-#: time) grants at least 4 cores: a 1-2 core runner cannot observe
-#: multi-core scaling, only fork overhead.
-PROCESS_PARALLEL_MIN_CORES = 4
-MIN_PROCESS_SCALING_AT_4 = 2.0
-
 #: Fault-harness gate.  The ``fault_point`` probes woven into the
-#: executor hot path must be invisible: the armed-but-never-matching
+#: shard tasks must be invisible: the armed-but-never-matching
 #: draw may cost at most this multiple of the disarmed draw (expected
 #: ~1.0 — the probe is one global read disarmed, one site lookup per
 #: shard armed; the ceiling absorbs scheduler noise, not real cost),
@@ -241,21 +226,6 @@ def test_perf_generation(benchmark, artifact):
             f"mean refit {ingest['mean_refit_seconds']:.3f}s, "
             f"{ingest['speedup_vs_refit_every_batch']}x, "
             f"digest_equal={ingest['digest_equal_to_reference']})"
-        )
-    process_parallel = result.get("process_parallel")
-    if process_parallel:
-        parts = ", ".join(
-            f"{label}={run['seconds']:.3f}s"
-            + (
-                f" ({run['speedup_vs_serial']}x, {run['active_backend']})"
-                if "speedup_vs_serial" in run
-                else ""
-            )
-            for label, run in process_parallel["runs"].items()
-        )
-        lines.append(
-            f"exec {process_parallel['available_cpus']:>2} cpus: {parts} "
-            f"(bit_identical={process_parallel['bit_identical']})"
         )
     fault = result.get("fault_overhead")
     if fault:
@@ -378,20 +348,6 @@ def test_perf_generation(benchmark, artifact):
     assert ingest is not None and ingest["digest_equal_to_reference"], ingest
     assert ingest["refits"] < ingest["reference_refits"], ingest
     assert ingest["drift_refits"] >= 1, ingest
-
-    # The executor backend must never change the stream: every
-    # backend/worker run bit-identical to the serial reference, at any
-    # scale.  The scaling gate arms only on multi-core hosts.
-    process_parallel = result.get("process_parallel")
-    assert process_parallel is not None, "process_parallel stage missing"
-    assert process_parallel["bit_identical"], process_parallel
-    if (
-        FULL_SCALE
-        and process_parallel["available_cpus"] >= PROCESS_PARALLEL_MIN_CORES
-    ):
-        run = process_parallel["runs"]["process_4"]
-        assert run["active_backend"] == "process", run
-        assert run["speedup_vs_serial"] >= MIN_PROCESS_SCALING_AT_4, run
 
     # The fault-injection probes must never touch the stream (any
     # scale) and must cost nothing measurable (full scale).

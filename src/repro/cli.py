@@ -46,10 +46,6 @@ from repro.viz.figures import (
 #: :mod:`repro.ipv6.backends`); emitted rows are backend-independent.
 BACKEND_CHOICES = ("memory", "sharded64")
 
-#: Execution backends for sharded draws (see :mod:`repro.exec.pool`);
-#: emitted rows are identical on either — only throughput differs.
-EXEC_BACKEND_CHOICES = ("thread", "process")
-
 
 def _write_addresses(rows) -> None:
     """Write an :class:`~repro.ipv6.sets.AddressSet` as RFC 5952 lines.
@@ -101,7 +97,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             seed=args.seed,
             backend=args.backend,
             workers=args.workers or None,
-            exec_backend=args.exec_backend,
         )
     _write_addresses(candidates)
     return 0
@@ -122,7 +117,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers or None,
         backend=args.backend,
-        exec_backend=args.exec_backend,
     )
     print(result.row())
     return 0
@@ -226,8 +220,8 @@ def _serve_stdin(
     streaming-ingest pipeline (drift may refit it; live streams adopt
     the new version without resetting)
     ``stats``                   — service counters + latency percentiles
-    ``health``                  — queue depth, shed/timeout/retry and
-    exec degradation counters, registered model versions (JSON)
+    ``health``                  — queue depth, shed/timeout/retry
+    counters, registered model versions (JSON)
     ``checkpoint``              — snapshot live streams to
     ``--checkpoint-dir`` now (also done automatically on exit)
     ``quit``                    — exit
@@ -324,7 +318,6 @@ def _serve_synthetic(service, name: str, args: argparse.Namespace) -> int:
                 seed=args.seed + index,
                 backend=args.backend,
                 workers=args.workers or None,
-                exec_backend=args.exec_backend,
             )
 
     threads = [
@@ -430,7 +423,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             backend=args.backend,
             workers=args.workers or None,
-            exec_backend=args.exec_backend,
         )
         before = service.generate(args.name, "monitor", args.count)
         per_snapshot = max(1, args.batches)
@@ -516,11 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                           help="exclusion-store layout (default: memory; "
                           "output is identical for every backend)")
-    generate.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                          default=None,
-                          help="where sharded draws run (with --workers; "
-                          "thread default, process for multi-core; output "
-                          "is identical, and ignored on serial runs)")
     generate.set_defaults(func=_cmd_generate)
 
     dataset = sub.add_parser("dataset", help="emit a built-in synthetic set")
@@ -540,11 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                       help="exclusion-store layout (default: memory; "
                       "results are identical for every backend)")
-    scan.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                      default=None,
-                      help="where sharded draws run (with --workers; "
-                      "thread default, process for multi-core; results "
-                      "are identical, and ignored on serial runs)")
     scan.set_defaults(func=_cmd_scan)
 
     mi = sub.add_parser("mi", help="mutual-information heat map")
@@ -587,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard each draw across N worker threads")
     serve.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                        help="exclusion-store layout for served sessions")
-    serve.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                       default=None,
-                       help="where each session's sharded draws run (with "
-                       "--workers; thread default, process for multi-core)")
     serve.add_argument("--service-workers", type=int, default=2,
                        help="service worker threads draining the queue")
     serve.add_argument("--max-pending", type=int, default=64,
@@ -632,10 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard monitor draws across N worker threads")
     ingest.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                         help="exclusion-store layout for the monitor stream")
-    ingest.add_argument("--exec-backend", choices=EXEC_BACKEND_CHOICES,
-                        default=None,
-                        help="where the monitor stream's sharded draws run "
-                        "(with --workers)")
     ingest.add_argument("--capacity", type=int, default=0,
                         help="capacity cap of the monitor stream (0 = "
                         "uncapped)")

@@ -108,12 +108,11 @@ class GenerationSession:
     A session also owns the campaign's **worker pools**: parallel
     ``generate_set(..., state=session, workers=N)`` calls fetch a
     long-lived :class:`~repro.exec.pool.WorkerPool` from
-    :meth:`get_pool` (one per ``(workers, exec_backend)`` pair), so a
-    multi-round campaign reuses one executor instead of re-spawning
-    threads/processes every round.  :meth:`close` (or the session as a
-    context manager) releases them; a closed session's table remains
-    readable, and a later parallel call transparently recreates its
-    pool.
+    :meth:`get_pool` (one per worker count), so a multi-round campaign
+    reuses one executor instead of re-spawning threads every round.
+    :meth:`close` (or the session as a context manager) releases them;
+    a closed session's table remains readable, and a later parallel
+    call transparently recreates its pool.
     """
 
     __slots__ = ("_width", "_table", "_excluded", "_capacity", "_pools")
@@ -144,7 +143,7 @@ class GenerationSession:
         )
         self._table.insert_packed(excluded)
         self._excluded = len(self._table)
-        self._pools: Dict[Tuple[int, str], "object"] = {}
+        self._pools: Dict[int, "object"] = {}
         if self._capacity and self._excluded > self._capacity:
             raise SessionCapacityError(
                 f"seed exclusions ({self._excluded} distinct rows) exceed "
@@ -189,30 +188,26 @@ class GenerationSession:
         """Total distinct rows the session will never emit again."""
         return len(self._table)
 
-    def get_pool(self, workers: Optional[int], exec_backend: Optional[str]):
+    def get_pool(self, workers: Optional[int]):
         """The session's long-lived :class:`~repro.exec.pool.WorkerPool`
-        for a ``(workers, exec_backend)`` pair, created on first use.
+        for a worker count, created on first use.
 
         Pool construction is cheap (the executor itself is lazy), but
         the executor a pool eventually spawns persists across the
         campaign's generate calls until :meth:`close` — that reuse is
         the point.
         """
-        from repro.exec.pool import (
-            WorkerPool,
-            resolve_exec_backend,
-            resolve_workers,
-        )
+        from repro.exec.pool import WorkerPool, resolve_workers
 
-        key = (resolve_workers(workers), resolve_exec_backend(exec_backend))
+        key = resolve_workers(workers)
         pool = self._pools.get(key)
         if pool is None:
-            pool = WorkerPool(key[0], backend=key[1])
+            pool = WorkerPool(key)
             self._pools[key] = pool
         return pool
 
     def close(self) -> None:
-        """Release every worker pool's threads/processes (idempotent).
+        """Release every worker pool's threads (idempotent).
 
         The exclusion table is untouched — a closed session can still
         be inspected, observed into, or even generated against (a later
@@ -227,16 +222,6 @@ class GenerationSession:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def exec_stats(self) -> Dict[str, int]:
-        """Fault-tolerance counters aggregated over this session's
-        worker pools: mid-run executor rebuilds (``retries``) and
-        process→thread fallbacks (``degradations``)."""
-        stats = {"retries": 0, "degradations": 0}
-        for pool in self._pools.values():
-            stats["retries"] += pool.retries
-            stats["degradations"] += pool.degradations
-        return stats
 
     def snapshot(self) -> dict:
         """The session's complete generation state as plain data.
@@ -654,7 +639,6 @@ class AddressModel:
         shards: Optional[int] = None,
         state: Optional[GenerationSession] = None,
         fused: Optional[bool] = None,
-        exec_backend: Optional[str] = None,
     ) -> AddressSet:
         """Generate ``n`` distinct candidate rows as an :class:`AddressSet`.
 
@@ -699,16 +683,8 @@ class AddressModel:
         (:func:`repro.exec.sharded_generate_set`): each batch is split
         into ``shards`` fixed sub-draws with independent
         ``SeedSequence``-spawned RNG streams executed across ``workers``
-        threads (``exec_backend="thread"``, the default) or worker
-        processes (``exec_backend="process"``, for real multi-core
-        scaling past the GIL).  The output depends only on ``(rng,
-        shards)`` — any worker count and either backend produce
-        bit-identical rows.  ``exec_backend`` is a pure throughput
-        knob: it only places shards the ``workers``/``shards``
-        arguments created, never selects the sharded route by itself,
-        so with ``workers`` and ``shards`` both ``None`` the serial
-        single-stream path below runs and ``exec_backend`` is ignored
-        (there are no shards to place).
+        threads.  The output depends only on ``(rng, shards)`` — any
+        worker count produces bit-identical rows.
 
         Deterministic for a fixed ``rng``; first-occurrence order within
         the stream is preserved.  Gives up after ``max_batches`` rounds
@@ -717,11 +693,6 @@ class AddressModel:
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        # exec_backend deliberately does NOT select the sharded route:
-        # sharding changes the RNG stream (by documented design), while
-        # exec_backend is a pure throughput knob that must never change
-        # the output — `exec_backend="process"` with workers/shards
-        # unset is the serial stream, not a silently different one.
         if workers is not None or shards is not None:
             from repro.exec import sharded_generate_set
 
@@ -736,7 +707,6 @@ class AddressModel:
                 shards=shards,
                 state=state,
                 fused=fused,
-                exec_backend=exec_backend,
             )
 
         plan = (
@@ -773,7 +743,6 @@ class AddressModel:
         shards: Optional[int] = None,
         state: Optional[GenerationSession] = None,
         fused: Optional[bool] = None,
-        exec_backend: Optional[str] = None,
     ) -> List[int]:
         """Generate ``n`` distinct candidate values (``width``-nybble ints).
 
@@ -791,7 +760,6 @@ class AddressModel:
             shards=shards,
             state=state,
             fused=fused,
-            exec_backend=exec_backend,
         ).to_ints()
 
     # ------------------------------------------------------------------

@@ -93,18 +93,6 @@ class StaleModelError(ReproError, RuntimeError):
     silently clobber someone else's model."""
 
 
-class ExecBackendError(ReproError, ValueError):
-    """An execution backend the worker pool cannot provide.
-
-    Raised for backend names outside
-    :data:`repro.exec.pool.EXEC_BACKENDS`, or when the process backend
-    cannot start *and* automatic fallback to the thread backend was
-    disabled (``WorkerPool(..., fallback=False)``).  With fallback
-    enabled (the default) a failed process start degrades to threads
-    silently — the output is bit-identical either way, only throughput
-    differs."""
-
-
 class RequestTimeoutError(ReproError, RuntimeError):
     """A queued request's deadline expired before a worker picked it
     up — the work function never ran.
@@ -144,7 +132,6 @@ class DriftWindowOverflowError(ReproError, RuntimeError):
 __all__ = [
     "CheckpointError",
     "DriftWindowOverflowError",
-    "ExecBackendError",
     "FaultPlanError",
     "IngestDriftError",
     "ModelDigestMismatch",

@@ -7,8 +7,8 @@ machinery:
 - :mod:`repro.exec.sharding` — deterministic work decomposition:
   balanced shard sizes and per-shard RNG streams spawned from one
   ``numpy.random.SeedSequence``;
-- :mod:`repro.exec.pool` — a thin ordered worker pool over
-  ``concurrent.futures`` (serial when ``workers <= 1``);
+- :mod:`repro.exec.pool` — a thin ordered thread pool over
+  ``concurrent.futures`` (an inline loop when ``workers <= 1``);
 - :mod:`repro.exec.engine` — the sharded §5.5 drivers:
   :func:`~repro.exec.engine.sharded_generate_set` (the parallel
   counterpart of :meth:`repro.core.model.AddressModel.generate_set`)
@@ -18,9 +18,8 @@ machinery:
 The design contract throughout: the *decomposition* is fixed by the
 ``shards`` count and the caller's RNG, and workers only change how the
 shards are executed.  ``workers=4`` is therefore bit-identical to
-``workers=1`` at the same seed — and the ``"process"`` backend is
-bit-identical to the ``"thread"`` default — parallelism is a pure
-throughput knob, never a determinism knob.
+``workers=1`` at the same seed — parallelism is a pure throughput
+knob, never a determinism knob.
 """
 
 from repro.exec.engine import (
@@ -28,22 +27,14 @@ from repro.exec.engine import (
     sharded_generate_set,
     sharded_map_rows,
 )
-from repro.exec.pool import (
-    EXEC_BACKENDS,
-    WorkerPool,
-    available_cpus,
-    resolve_exec_backend,
-    resolve_workers,
-)
+from repro.exec.pool import WorkerPool, available_cpus, resolve_workers
 from repro.exec.sharding import derive_seed_sequence, shard_bounds, shard_sizes
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "EXEC_BACKENDS",
     "WorkerPool",
     "available_cpus",
     "derive_seed_sequence",
-    "resolve_exec_backend",
     "resolve_workers",
     "shard_bounds",
     "shard_sizes",

@@ -1,61 +1,25 @@
-"""A thin, ordered worker pool over ``concurrent.futures``.
+"""A thin, ordered thread pool over ``concurrent.futures``.
 
-Two backends share one interface:
-
-- ``"thread"`` (the default): the shard work units are numpy-heavy
-  (BN inverse-CDF sampling, segment decoding, packed-row hashing), and
-  numpy releases the GIL inside its kernels, so a thread pool overlaps
-  real work without pickling anything across process boundaries.
-- ``"process"``: a ``ProcessPoolExecutor`` for work that is bound by
-  Python-side time the GIL serializes.  Task functions and arguments
-  must be picklable (module-level functions, plain-data payloads); the
-  sharded engine ships each shard's packed-uint64 words back as
-  pickled numpy arrays and merges them in shard order on the caller's
-  thread, so the output contract is backend-independent.
+The shard work units are numpy-heavy (BN inverse-CDF sampling, segment
+decoding, packed-row hashing), and numpy releases the GIL inside its
+kernels, so a thread pool overlaps real work without pickling anything
+across process boundaries.
 
 The executor is **long-lived**: it is created lazily on the first
-parallel ``map`` and reused by every later call until :meth:`close`
-(PRs before this one built a fresh ``ThreadPoolExecutor`` per ``map``
-— one per oversampling round).  A pool with ``workers <= 1`` degrades
-to a plain loop — no executor, no threads — which keeps the serial
-path allocation-free and trivially debuggable.
-
-When the process backend cannot start (a sandboxed host without fork/
-spawn, an unpicklable task function) the pool falls back to the thread
-backend and records it in :attr:`WorkerPool.active_backend` — output
-is bit-identical either way, so the fallback can never change results,
-only throughput.  ``fallback=False`` raises
-:class:`~repro.errors.ExecBackendError` instead.
+parallel ``map`` and reused by every later call until :meth:`close`.
+A pool with ``workers <= 1`` runs a plain loop — no executor, no
+threads — which keeps the serial path allocation-free and trivially
+debuggable.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
-
-from repro.errors import ExecBackendError
-from repro.faults import fault_point
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Execution backends a :class:`WorkerPool` can run shards on.
-EXEC_BACKENDS = ("thread", "process")
-
-#: Default cap on mid-``map`` executor rebuilds before the pool gives
-#: up on the process backend and degrades to threads.
-DEFAULT_MAX_RETRIES = 2
-
-#: Base backoff (seconds) between executor rebuilds; doubles each
-#: retry.  Small on purpose — a rebuilt pool is ready immediately, the
-#: pause only spaces out repeated crashes of a genuinely sick host.
-DEFAULT_RETRY_BACKOFF = 0.05
-
-#: Placeholder for a shard result not yet computed (``None`` is a
-#: legitimate task result, so identity against a private sentinel).
-_PENDING = object()
 
 
 def available_cpus() -> int:
@@ -95,140 +59,29 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def resolve_exec_backend(backend: Optional[str]) -> str:
-    """Normalize an ``exec_backend`` argument (``None`` = thread)."""
-    if backend is None:
-        return "thread"
-    if backend not in EXEC_BACKENDS:
-        raise ExecBackendError(
-            f"unknown exec backend {backend!r} (choose from "
-            f"{'/'.join(EXEC_BACKENDS)})"
-        )
-    return backend
-
-
-def _picklable(obj) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
 class WorkerPool:
-    """Execute tasks across ``workers`` threads or processes, in order.
+    """Execute tasks across ``workers`` threads, in order.
 
-    ``map`` returns results in input order regardless of completion
-    order, and the first task exception propagates to the caller (the
-    remaining tasks still run to completion — shard work units are
-    side-effect free, so there is nothing to unwind).
-
-    The pool owns one long-lived executor, created lazily and reused
-    across ``map`` calls; call :meth:`close` (or use the pool as a
-    context manager) to release its threads/processes.  A closed pool
+    The pool owns one long-lived ``ThreadPoolExecutor``, created lazily
+    and reused across ``map`` calls; call :meth:`close` (or use the
+    pool as a context manager) to release its threads.  A closed pool
     transparently re-creates the executor if mapped again — close is a
     resource release, not a poison pill.
-
-    ``backend`` picks the executor kind (see :data:`EXEC_BACKENDS`);
-    :attr:`active_backend` reports what is actually running, which
-    differs from :attr:`backend` only after a process-start failure
-    fell back to threads (``fallback=False`` raises
-    :class:`~repro.errors.ExecBackendError` instead).
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        backend: Optional[str] = None,
-        fallback: bool = True,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = resolve_workers(workers)
-        self.backend = resolve_exec_backend(backend)
-        self.active_backend = self.backend
-        self._fallback = fallback
-        self._executor = None
-        self._closed = False
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        #: Mid-``map`` executor rebuilds after losing workers in flight.
+        self._executor: Optional[ThreadPoolExecutor] = None
+        # Always 0 (a thread map never rebuilds or degrades); kept
+        # because perfbench's traced mode reads both around ``map``.
         self.retries = 0
-        #: Process→thread degradations over the pool's lifetime.
         self.degradations = 0
 
-    # ------------------------------------------------------------------
-    # executor lifecycle
-    # ------------------------------------------------------------------
-
-    def _make_executor(self, backend: str):
-        if backend == "process":
-            import multiprocessing
-            import threading
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork is the cheap start method (no re-import, the numpy
-            # pages are shared copy-on-write) — but forking a
-            # multithreaded parent can copy another thread's held lock
-            # into the child permanently locked, a silent deadlock no
-            # BrokenProcessPool fallback can catch (and the reason
-            # fork-with-threads is deprecated in recent CPython).  The
-            # serving/CLI layers here run pools from worker threads, so
-            # fork is only safe when this is the sole thread alive;
-            # otherwise forkserver forks from a clean single-threaded
-            # server process.  Fall back to the platform default where
-            # a method is unavailable.
-            method = (
-                "forkserver" if threading.active_count() > 1 else "fork"
-            )
-            try:
-                context = multiprocessing.get_context(method)
-            except ValueError:  # pragma: no cover - non-POSIX only
-                context = None
-            return ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def degrade_to_threads(self, cause: BaseException) -> None:
-        """Switch :attr:`active_backend` to threads after a process-path
-        failure (``cause``), honoring the fallback policy:
-        ``fallback=False`` raises
-        :class:`~repro.errors.ExecBackendError` instead.  Called
-        internally on executor-start/dispatch failures, and by the
-        sharded engine when a task payload (e.g. the model) cannot be
-        pickled — the same graceful degradation either way."""
-        if not self._fallback:
-            raise ExecBackendError(
-                f"process exec backend failed: {cause}"
-            ) from cause
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        if self.active_backend != "thread":
-            self.degradations += 1
-        self.active_backend = "thread"
-
-    def _ensure_executor(self):
-        if self._executor is None:
-            if self.active_backend == "process":
-                try:
-                    self._executor = self._make_executor("process")
-                except (OSError, ValueError, RuntimeError) as exc:
-                    self.degrade_to_threads(exc)
-            if self._executor is None:
-                self._executor = self._make_executor("thread")
-            self._closed = False
-        return self._executor
-
     def close(self) -> None:
-        """Release the executor's threads/processes (idempotent)."""
+        """Release the executor's threads (idempotent)."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._closed = True
 
     @property
     def closed(self) -> bool:
@@ -241,113 +94,21 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # the one operation
-    # ------------------------------------------------------------------
-
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item; results in input order."""
+        """Apply ``fn`` to every item; results in input order.
+
+        The first task exception (in input order) propagates to the
+        caller.  Tasks not yet started by then are cancelled, while
+        those already running finish in the background; shard work
+        units are side-effect free, so there is nothing to unwind, and
+        the pool stays usable for the next ``map``.
+        """
         items = list(items)
         if self.workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        if (
-            self.active_backend == "process"
-            and self._executor is None
-            and not _picklable(fn)
-        ):
-            # A closure-shaped task can never cross a process boundary;
-            # degrade before paying for a process pool that could only
-            # fail.  (Module-level task functions — the sharded
-            # engine's — pass this probe and keep the process path.)
-            self.degrade_to_threads(
-                pickle.PicklingError(f"task {fn!r} is not picklable")
-            )
-        self._ensure_executor()
-        if self.active_backend == "process":
-            return self._map_process(fn, items)
-        return list(self._ensure_executor().map(fn, items))
-
-    def _map_process(self, fn: Callable[[T], R], items: List[T]) -> List[R]:
-        """Process-backend dispatch with mid-run worker-loss recovery.
-
-        Tasks are submitted individually (not ``executor.map``) so that
-        when the pool breaks mid-flight — a worker OOM-killed between
-        shards, a sandbox revoking fork at first real use — the results
-        that *did* complete are kept, the broken executor is rebuilt,
-        and only the unfinished items are re-dispatched, up to
-        :attr:`max_retries` rebuilds with exponential backoff.  Shard
-        tasks are pure functions of their arguments, so a re-dispatch
-        returns bit-identical words and the merged output cannot differ
-        from a fault-free run.  When retries are exhausted (or an
-        argument refuses to pickle, which no rebuild can fix) the pool
-        degrades to threads as before — still bit-identical, and still
-        raising :class:`~repro.errors.ExecBackendError` under
-        ``fallback=False``.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        results: List = [_PENDING] * len(items)
-        for attempt in range(self.max_retries + 1):
-            executor = self._ensure_executor()
-            if self.active_backend != "process":
-                break  # executor restart itself fell back to threads
-            pending = [i for i, r in enumerate(results) if r is _PENDING]
-            futures = {}
-            try:
-                for index in pending:
-                    fault_point("pool.dispatch")
-                    futures[index] = executor.submit(fn, items[index])
-                for index in pending:
-                    results[index] = futures[index].result()
-                return results
-            except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-                # Harvest whatever finished before the break — pure
-                # tasks make completed results exactly as valid as
-                # they would be in a fault-free run.
-                for index, future in futures.items():
-                    if (
-                        results[index] is _PENDING
-                        and future.done()
-                        and not future.cancelled()
-                        and future.exception() is None
-                    ):
-                        results[index] = future.result()
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False, cancel_futures=True)
-                    self._executor = None
-                unfixable = isinstance(exc, pickle.PicklingError)
-                if unfixable or attempt == self.max_retries:
-                    self.degrade_to_threads(exc)
-                    break
-                self.retries += 1
-                if self.retry_backoff > 0:
-                    time.sleep(self.retry_backoff * (2 ** attempt))
-        executor = self._ensure_executor()
-        pending = [i for i, r in enumerate(results) if r is _PENDING]
-        if pending:
-            finished = executor.map(fn, [items[i] for i in pending])
-            for index, value in zip(pending, finished):
-                results[index] = value
-        return results
-
-    def stats(self) -> dict:
-        """Operational counters for health reporting: configured vs
-        active backend, mid-run retries, and degradations."""
-        return {
-            "workers": self.workers,
-            "backend": self.backend,
-            "active_backend": self.active_backend,
-            "retries": self.retries,
-            "degradations": self.degradations,
-        }
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=self.workers)
+        return list(self._executor.map(fn, items))
 
     def __repr__(self) -> str:
-        suffix = (
-            f"->{self.active_backend}"
-            if self.active_backend != self.backend
-            else ""
-        )
-        return (
-            f"WorkerPool(workers={self.workers}, "
-            f"backend={self.backend}{suffix})"
-        )
+        return f"WorkerPool(workers={self.workers})"

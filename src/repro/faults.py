@@ -1,23 +1,20 @@
 """Deterministic fault injection for the exec/serve/ingest hot paths.
 
-The fault-tolerance layer (mid-run worker recovery, request deadlines,
+The fault-tolerance layer (request requeue, deadlines,
 checkpoint/restore) is only trustworthy if its failure paths can be
-exercised *deterministically* — "kill the process worker on shard 3 of
-call 2" must mean exactly that run after run, so a recovered run can
-be asserted bit-identical to the fault-free one.  This module provides
-that: named **fault sites** woven into the hot paths, and a
-declarative :class:`FaultPlan` that arms specific faults at specific
-sites.
+exercised *deterministically* — "fail shard 3 of call 2" must mean
+exactly that run after run, so a recovered run can be asserted
+bit-identical to the fault-free one.  This module provides that: named
+**fault sites** woven into the hot paths, and a declarative
+:class:`FaultPlan` that arms specific faults at specific sites.
 
 Sites currently woven in:
 
 ========================  ====================================================
-``pool.dispatch``         parent side, once per task submitted by
-                          :meth:`repro.exec.pool.WorkerPool.map` on a
-                          parallel path (selector = Nth submission)
-``pool.shard``            inside the shard task (worker side, for the
-                          process backend inside the worker *process*);
-                          selector = Nth hit or ``call.shard``
+``pool.shard``            inside the sharded engine's shard task, on a
+                          :class:`~repro.exec.pool.WorkerPool` thread;
+                          selector = Nth hit or ``call.shard``.  Nothing
+                          recovers it: the fault reaches the caller
 ``service.worker``        a :class:`~repro.serve.service.HitlistService`
                           worker thread, just before executing a request
 ``ingest.refit``          start of :meth:`IngestPipeline.refit`
@@ -32,31 +29,26 @@ benchmark stage holds this to within noise).
 Plans
 -----
 A plan is a semicolon-separated list of rules, each
-``site@selector:action``:
+``site@selector:raise=ExcName``:
 
 - ``selector`` is either ``N`` (the Nth time that site fires,
-  1-based, counted per process) or ``C.S`` (for per-shard sites:
-  call ``C``, shard ``S``, both 0-based — deterministic regardless of
-  which worker runs the shard).
-- ``action`` is ``kill`` (``os._exit(1)`` — simulates a crashed
-  process worker; only meaningful at worker-side sites) or
-  ``raise=ExcName`` with ``ExcName`` from :data:`INJECTABLE_ERRORS`.
+  1-based) or ``C.S`` (for per-shard sites: call ``C``, shard ``S``,
+  both 0-based — deterministic regardless of which thread runs the
+  shard).
+- ``ExcName`` comes from :data:`INJECTABLE_ERRORS`.
 
 Each rule fires **once**.  Examples::
 
-    pool.shard@2.3:kill             # kill the worker on shard 3 of call 2
-    pool.dispatch@5:raise=OSError   # raise OSError on the 5th dispatch
+    pool.shard@2.3:raise=RuntimeError   # fail shard 3 of call 2
     service.worker@1:raise=RuntimeError
 
 Arm a plan for a block of code::
 
-    with FaultPlan.parse("pool.shard@0.1:kill").armed():
-        model.generate_set(n, rng, workers=4, exec_backend="process")
+    with FaultPlan.parse("pool.shard@0.1:raise=RuntimeError").armed():
+        model.generate_set(n, rng, workers=4)
 
-or for a whole process tree via ``REPRO_FAULT_PLAN`` in the
-environment — child worker processes re-read the variable on import,
-and :meth:`FaultPlan.armed` exports it too, so a forkserver child
-spawned mid-block still sees the plan.
+or for a whole run via ``REPRO_FAULT_PLAN`` in the environment, which
+is read once when this module is imported.
 """
 
 from __future__ import annotations
@@ -67,18 +59,8 @@ from typing import Dict, List, Optional
 
 from repro.errors import FaultPlanError
 
-#: Environment variable holding a plan string; parsed at import time in
-#: every process (parent and pool workers alike).
+#: Environment variable holding a plan string; parsed once at import.
 PLAN_ENV = "REPRO_FAULT_PLAN"
-
-#: Environment variable holding the plan's cross-process scoreboard
-#: directory.  A rule must fire exactly once across the whole process
-#: tree — a ``kill`` rule that re-armed in every freshly forked
-#: replacement worker would kill the re-dispatched shard forever —
-#: but plan objects are per-process, so the "already fired" latch
-#: lives as one file per rule in this directory, touched *before* the
-#: fault acts.  :meth:`FaultPlan.armed` creates it automatically.
-SCOREBOARD_ENV = "REPRO_FAULT_BOARD"
 
 #: Exceptions a ``raise=`` action may name.  A deliberately small
 #: allowlist of the error types the recovery paths are written against
@@ -94,23 +76,21 @@ INJECTABLE_ERRORS: Dict[str, type] = {
 
 
 class FaultRule:
-    """One armed fault: fire ``action`` at ``site`` when the selector
-    matches.  Plain data plus a ``fired`` latch; matching lives in
-    :meth:`FaultPlan._select`."""
+    """One armed fault: raise ``exc_name`` at ``site`` when the
+    selector matches.  Plain data plus a ``fired`` latch; matching
+    lives in :meth:`FaultPlan._select`."""
 
-    __slots__ = ("site", "action", "exc_name", "nth", "call", "shard", "fired")
+    __slots__ = ("site", "exc_name", "nth", "call", "shard", "fired")
 
     def __init__(
         self,
         site: str,
-        action: str,
-        exc_name: Optional[str] = None,
+        exc_name: str,
         nth: Optional[int] = None,
         call: Optional[int] = None,
         shard: Optional[int] = None,
     ):
         self.site = site
-        self.action = action
         self.exc_name = exc_name
         self.nth = nth
         self.call = call
@@ -119,28 +99,24 @@ class FaultRule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sel = f"{self.call}.{self.shard}" if self.nth is None else f"{self.nth}"
-        act = self.action if self.exc_name is None else f"raise={self.exc_name}"
-        return f"FaultRule({self.site}@{sel}:{act})"
+        return f"FaultRule({self.site}@{sel}:raise={self.exc_name})"
 
 
 class FaultPlan:
     """A parsed set of :class:`FaultRule`\\ s plus per-site hit
     counters.  Arm with :meth:`armed` (context manager) or by setting
-    :data:`PLAN_ENV` before the target process imports this module."""
+    :data:`PLAN_ENV` before the process imports this module."""
 
     def __init__(self, rules: List[FaultRule]):
         self.rules = rules
         self._hits: Dict[str, int] = {}
         self._lock = threading.Lock()
-        self._text: Optional[str] = None
-        #: Cross-process fired-latch directory (see SCOREBOARD_ENV).
-        self._board: Optional[str] = None
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
-        """Parse the ``site@selector:action[;...]`` grammar above."""
+        """Parse the ``site@selector:raise=ExcName[;...]`` grammar above."""
         rules: List[FaultRule] = []
         for chunk in text.split(";"):
             chunk = chunk.strip()
@@ -155,30 +131,25 @@ class FaultPlan:
                 ) from None
             site = site.strip()
             action = action.strip()
-            exc_name = None
-            if action.startswith("raise="):
-                exc_name = action[len("raise="):]
-                if exc_name not in INJECTABLE_ERRORS:
-                    raise FaultPlanError(
-                        f"fault rule {chunk!r} names {exc_name!r}, not one "
-                        f"of {'/'.join(sorted(INJECTABLE_ERRORS))}"
-                    )
-                action = "raise"
-            elif action != "kill":
+            if not action.startswith("raise="):
                 raise FaultPlanError(
-                    f"fault rule {chunk!r} action must be 'kill' or "
-                    f"'raise=ExcName'"
+                    f"fault rule {chunk!r} action must be 'raise=ExcName'"
+                )
+            exc_name = action[len("raise="):]
+            if exc_name not in INJECTABLE_ERRORS:
+                raise FaultPlanError(
+                    f"fault rule {chunk!r} names {exc_name!r}, not one "
+                    f"of {'/'.join(sorted(INJECTABLE_ERRORS))}"
                 )
             selector = selector.strip()
             try:
                 if "." in selector:
                     call_s, shard_s = selector.split(".", 1)
                     rule = FaultRule(
-                        site, action, exc_name,
-                        call=int(call_s), shard=int(shard_s),
+                        site, exc_name, call=int(call_s), shard=int(shard_s)
                     )
                 else:
-                    rule = FaultRule(site, action, exc_name, nth=int(selector))
+                    rule = FaultRule(site, exc_name, nth=int(selector))
             except ValueError:
                 raise FaultPlanError(
                     f"fault rule {chunk!r} selector must be N or CALL.SHARD"
@@ -186,34 +157,9 @@ class FaultPlan:
             rules.append(rule)
         if not rules:
             raise FaultPlanError(f"fault plan {text!r} contains no rules")
-        plan = cls(rules)
-        plan._text = text
-        return plan
+        return cls(rules)
 
     # -- matching ------------------------------------------------------
-
-    def _rule_fired(self, index: int) -> bool:
-        rule = self.rules[index]
-        if rule.fired:
-            return True
-        if self._board is not None and os.path.exists(
-            os.path.join(self._board, str(index))
-        ):
-            rule.fired = True  # cache the cross-process latch locally
-            return True
-        return False
-
-    def _mark_fired(self, index: int) -> None:
-        self.rules[index].fired = True
-        if self._board is not None:
-            # Touch the latch *before* the fault acts: a kill that
-            # exits this process must not leave the rule armed for the
-            # replacement worker that re-runs the same shard.
-            try:
-                with open(os.path.join(self._board, str(index)), "w"):
-                    pass
-            except OSError:  # pragma: no cover - board dir removed
-                pass
 
     def _select(
         self, site: str, call: Optional[int], shard: Optional[int]
@@ -221,39 +167,32 @@ class FaultPlan:
         with self._lock:
             hit = self._hits.get(site, 0) + 1
             self._hits[site] = hit
-            for index, rule in enumerate(self.rules):
-                if rule.site != site or self._rule_fired(index):
+            for rule in self.rules:
+                if rule.site != site or rule.fired:
                     continue
                 if rule.nth is not None:
-                    if hit == rule.nth:
-                        self._mark_fired(index)
-                        return rule
-                elif call is not None and shard is not None:
-                    if call == rule.call and shard == rule.shard:
-                        self._mark_fired(index)
-                        return rule
+                    matched = hit == rule.nth
+                else:
+                    matched = (call, shard) == (rule.call, rule.shard)
+                if matched:
+                    rule.fired = True
+                    return rule
         return None
 
     def hits(self, site: str) -> int:
-        """How many times ``site`` has fired in this process."""
+        """How many times ``site`` has fired."""
         with self._lock:
             return self._hits.get(site, 0)
 
     def fired(self) -> int:
-        """How many rules have triggered — in this process or, with a
-        scoreboard, anywhere in the process tree."""
+        """How many rules have triggered."""
         with self._lock:
-            return sum(
-                1 for index in range(len(self.rules))
-                if self._rule_fired(index)
-            )
+            return sum(1 for rule in self.rules if rule.fired)
 
     # -- arming --------------------------------------------------------
 
     def armed(self) -> "_ArmedPlan":
-        """Context manager arming this plan process-wide (and exporting
-        :data:`PLAN_ENV` so pool workers started inside the block
-        inherit it)."""
+        """Context manager arming this plan process-wide."""
         return _ArmedPlan(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -264,56 +203,28 @@ class _ArmedPlan:
     def __init__(self, plan: FaultPlan):
         self._plan = plan
         self._prev_plan: Optional[FaultPlan] = None
-        self._prev_env: Dict[str, Optional[str]] = {}
-        self._owns_board = False
 
     def __enter__(self) -> FaultPlan:
         global _PLAN
-        import tempfile
-
         self._prev_plan = _PLAN
-        self._prev_env = {
-            PLAN_ENV: os.environ.get(PLAN_ENV),
-            SCOREBOARD_ENV: os.environ.get(SCOREBOARD_ENV),
-        }
-        if self._plan._board is None:
-            self._plan._board = tempfile.mkdtemp(prefix="repro-faults-")
-            self._owns_board = True
         _PLAN = self._plan
-        if self._plan._text is not None:
-            os.environ[PLAN_ENV] = self._plan._text
-        os.environ[SCOREBOARD_ENV] = self._plan._board
         return self._plan
 
     def __exit__(self, *exc_info) -> None:
         global _PLAN
         _PLAN = self._prev_plan
-        for key, value in self._prev_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        if self._owns_board:
-            import shutil
-
-            shutil.rmtree(self._plan._board, ignore_errors=True)
-            self._plan._board = None
-            self._owns_board = False
 
 
 def _plan_from_env() -> Optional[FaultPlan]:
     text = os.environ.get(PLAN_ENV)
     if not text:
         return None
-    plan = FaultPlan.parse(text)
-    plan._board = os.environ.get(SCOREBOARD_ENV)
-    return plan
+    return FaultPlan.parse(text)
 
 
 #: The armed plan, or ``None`` (the common case).  Every fault site
 #: reads this exactly once; ``None`` short-circuits before any other
-#: work.  Initialized from the environment so worker processes —
-#: forked, forkserver'd, or spawned — arm themselves on import.
+#: work.
 _PLAN: Optional[FaultPlan] = _plan_from_env()
 
 
@@ -333,11 +244,6 @@ def fault_point(
     rule = plan._select(site, call, shard)
     if rule is None:
         return
-    if rule.action == "kill":
-        # Simulate a crashed worker process: no cleanup, no exception
-        # propagation — the parent sees BrokenProcessPool, exactly as
-        # for a real segfault/OOM kill.
-        os._exit(1)
     raise INJECTABLE_ERRORS[rule.exc_name](
         f"injected fault at {site} "
         f"({'hit ' + str(rule.nth) if rule.nth is not None else f'call {rule.call} shard {rule.shard}'})"
@@ -347,7 +253,6 @@ def fault_point(
 __all__ = [
     "INJECTABLE_ERRORS",
     "PLAN_ENV",
-    "SCOREBOARD_ENV",
     "FaultPlan",
     "FaultRule",
     "active_plan",

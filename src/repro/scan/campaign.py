@@ -95,7 +95,6 @@ class ScanCampaign:
         seed: int = 0,
         workers: "int | None" = None,
         backend=None,
-        exec_backend: "str | None" = None,
     ):
         if probe_budget < 1 or round_size < 1:
             raise ValueError("budget and round size must be positive")
@@ -114,10 +113,6 @@ class ScanCampaign:
         # campaigns whose probed universe outgrows one flat table.
         # Emitted candidates are identical for every backend.
         self._backend = backend
-        # exec_backend= picks where sharded draws execute ("thread"
-        # default, "process" for multi-core scaling); like workers it
-        # is a pure throughput knob — outcomes are bit-identical.
-        self._exec_backend = exec_backend
 
     def run(self) -> CampaignResult:
         """Probe until the budget is exhausted; return the full record.
@@ -143,7 +138,6 @@ class ScanCampaign:
             capacity=len(train) + self._budget,
             backend=self._backend,
             workers=self._workers,
-            exec_backend=self._exec_backend,
         ).open(analysis.model)
         train_64s = train.prefixes64()
         hit_chunks: List[np.ndarray] = []
@@ -165,7 +159,6 @@ class ScanCampaign:
                     self._rng,
                     state=session,
                     workers=self._workers,
-                    exec_backend=self._exec_backend,
                 )
                 if len(candidates) == 0:
                     break  # model support exhausted
@@ -220,7 +213,7 @@ class ScanCampaign:
                     analysis = EntropyIP.fit(train, width=train.width)
         finally:
             # Release the session's long-lived worker pools — a
-            # campaign must not leave executor threads/processes alive.
+            # campaign must not leave executor threads alive.
             session.close()
         if hit_chunks:
             discovered = AddressSet(np.vstack(hit_chunks))
@@ -262,7 +255,6 @@ class ScanCampaign:
                 self._rng,
                 exclude=probed_words,
                 workers=self._workers,
-                exec_backend=self._exec_backend,
             )
             if len(candidates) == 0:
                 break  # model support exhausted
@@ -310,7 +302,6 @@ def run_campaign(
     seed: int = 0,
     workers: "int | None" = None,
     backend=None,
-    exec_backend: "str | None" = None,
 ) -> CampaignResult:
     """Functional one-shot interface to :class:`ScanCampaign`."""
     return ScanCampaign(
@@ -322,5 +313,4 @@ def run_campaign(
         seed=seed,
         workers=workers,
         backend=backend,
-        exec_backend=exec_backend,
     ).run()

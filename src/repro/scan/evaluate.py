@@ -99,7 +99,6 @@ def scan_experiment(
     seed: int = 0,
     workers: Optional[int] = None,
     backend: BackendSpec = None,
-    exec_backend: Optional[str] = None,
 ) -> ScanResult:
     """Run the full §5.5 scanning experiment against one network.
 
@@ -109,11 +108,9 @@ def scan_experiment(
 
     ``workers`` runs generation and oracle scoring across a worker
     pool (see :mod:`repro.exec`); results are bit-identical for any
-    worker count, including the serial default.  ``exec_backend``
-    picks where the shards run (``"thread"`` default, ``"process"``
-    for multi-core scaling) — also output-neutral.  ``backend`` picks
-    the exclusion-store layout (``"memory"``/``"sharded64"``) — output
-    is identical for every backend.
+    worker count, including the serial default.  ``backend`` picks the
+    exclusion-store layout (``"memory"``/``"sharded64"``) — output is
+    identical for every backend.
     """
     population = network.population(seed)
     responder = SimulatedResponder(
@@ -141,7 +138,6 @@ def scan_experiment(
         capacity=n_candidates + len(train),
         backend=backend,
         workers=workers,
-        exec_backend=exec_backend,
     ).open(analysis.model)
     try:
         candidates = analysis.model.generate_set(
@@ -149,7 +145,6 @@ def scan_experiment(
             rng,
             state=session,
             workers=workers,
-            exec_backend=exec_backend,
         )
     finally:
         session.close()

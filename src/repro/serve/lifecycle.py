@@ -64,19 +64,13 @@ class SessionSpec:
     :class:`~repro.core.model.SessionCapacityError`, it never silently
     grows past the cap.  ``workers`` is part of the stream identity
     (serial and sharded draws differ by design; any sharded worker
-    *count* is bit-identical to any other).  ``exec_backend`` is *not*
-    part of the stream identity — thread and process execution are
-    bit-identical, it is recorded here only so a stream's draws run
-    where the deployment asked, and with ``workers`` unset (the serial
-    stream) it is ignored entirely: it can place shards, never create
-    them.
+    *count* is bit-identical to any other).
     """
 
     exclude: Optional[ExcludeLike] = None
     capacity: int = 0
     backend: BackendSpec = None
     workers: Optional[int] = None
-    exec_backend: Optional[str] = None
 
     def open(self, model: AddressModel) -> GenerationSession:
         """Open a fresh session on ``model`` per this recipe."""
@@ -149,7 +143,6 @@ class ManagedSession:
                 self.rng,
                 state=self.session,
                 workers=self.spec.workers if workers is None else workers,
-                exec_backend=self.spec.exec_backend,
             )
             self.requests += 1
             self.rows_served += len(out)
@@ -226,7 +219,6 @@ class ManagedSession:
                     "capacity": self.spec.capacity,
                     "backend": self.spec.backend,
                     "workers": self.spec.workers,
-                    "exec_backend": self.spec.exec_backend,
                 },
                 "rng_state": self.rng.bit_generator.state,
                 "requests": self.requests,
@@ -248,7 +240,10 @@ class ManagedSession:
         different model would silently break the bit-identity promise
         — the whole point of a checkpoint.  The restored stream's RNG
         resumes at the exact saved position, so its subsequent draws
-        are bit-identical to the uninterrupted run's.
+        are bit-identical to the uninterrupted run's.  Spec keys beyond
+        the three read here (older snapshots also name the executor
+        their shards ran on) are ignored: shards always run on threads,
+        and where they ran never changed the stream.
         """
         if entry.digest != payload["model_digest"]:
             raise CheckpointError(
@@ -262,7 +257,6 @@ class ManagedSession:
             capacity=int(spec_data["capacity"]),
             backend=spec_data["backend"],
             workers=spec_data["workers"],
-            exec_backend=spec_data["exec_backend"],
         )
         managed = cls(
             (payload["model"], payload["client"]),
@@ -286,7 +280,7 @@ class ManagedSession:
         with self._lock:
             self.closed = True
             # Release the GenerationSession's long-lived worker pools —
-            # eviction/expiry must not leak executor threads/processes.
+            # eviction/expiry must not leak executor threads.
             self.session.close()
 
     def __repr__(self) -> str:
@@ -345,7 +339,6 @@ class SessionManager:
         capacity: int = 0,
         backend: BackendSpec = None,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> ManagedSession:
         """Get-or-create the warm session for ``(model_name, client)``.
 
@@ -379,7 +372,6 @@ class SessionManager:
                     backend if backend is not None else self._default_backend
                 ),
                 workers=workers,
-                exec_backend=exec_backend,
             )
             session = ManagedSession(
                 key, entry, spec, seed=seed, clock=self._clock
@@ -421,8 +413,7 @@ class SessionManager:
         """Close and drop every live session; returns how many.
 
         Used by an owning :class:`~repro.serve.service.HitlistService`
-        on shutdown so no session leaves worker pool threads/processes
-        behind.
+        on shutdown so no session leaves worker pool threads behind.
         """
         with self._lock:
             sessions = list(self._sessions.values())
@@ -492,20 +483,6 @@ class SessionManager:
                 if not session.closed
             ]
         return [session.snapshot() for session in sessions]
-
-    def exec_stats(self) -> dict:
-        """Mid-run retry / degradation counters summed over every live
-        session's worker pools (for the service ``health`` verb)."""
-        with self._lock:
-            sessions = list(self._sessions.values())
-        totals = {"retries": 0, "degradations": 0}
-        for session in sessions:
-            if session.closed:
-                continue
-            stats = session.session.exec_stats()
-            totals["retries"] += stats["retries"]
-            totals["degradations"] += stats["degradations"]
-        return totals
 
     def adopt_model(self, model_name: str) -> int:
         """Roll every live session of ``model_name`` onto the model's

@@ -304,7 +304,6 @@ class HitlistService:
         capacity: int = 0,
         backend: BackendSpec = None,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> ManagedSession:
         """Get-or-create the client's warm stream (inline bookkeeping).
 
@@ -320,7 +319,6 @@ class HitlistService:
             capacity=capacity,
             backend=backend,
             workers=workers,
-            exec_backend=exec_backend,
         )
 
     def generate(
@@ -334,7 +332,6 @@ class HitlistService:
         capacity: int = 0,
         backend: BackendSpec = None,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> AddressSet:
         """Serve the next ``n`` candidates of ``(model, client)``'s
         stream; blocks for the result.  See :meth:`generate_async`."""
@@ -348,7 +345,6 @@ class HitlistService:
             capacity=capacity,
             backend=backend,
             workers=workers,
-            exec_backend=exec_backend,
         ).result()
 
     def generate_async(
@@ -362,7 +358,6 @@ class HitlistService:
         capacity: int = 0,
         backend: BackendSpec = None,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
     ) -> "Future":
         """Queue a generate request; the future resolves to the
         :class:`AddressSet`.
@@ -390,7 +385,6 @@ class HitlistService:
                     capacity=capacity,
                     backend=backend,
                     workers=workers,
-                    exec_backend=exec_backend,
                 )
             return live.generate(n, workers=workers)
 
@@ -570,10 +564,8 @@ class HitlistService:
         serve protocol.
 
         Everything an operator needs at a glance: queue depth against
-        its bound, worker count, shed/timeout/retry totals, the exec
-        layer's mid-run retry and process→thread degradation counters
-        aggregated across live sessions, and the registered models
-        with their current versions.
+        its bound, worker count, shed/timeout/retry totals, and the
+        registered models with their current versions.
         """
         with self._lock:
             depth = self._queue.qsize()
@@ -586,7 +578,6 @@ class HitlistService:
                 "shed": self._rejected,
                 "retries": sum(self._retried.values()),
             }
-        summary["exec"] = self.sessions.exec_stats()
         summary["models"] = self.registry.versions()
         return summary
 
@@ -610,8 +601,8 @@ class HitlistService:
 
         When the service owns its session manager (it was not passed a
         shared one), every live session is closed too, releasing the
-        sessions' worker pool threads/processes — a closed service
-        leaves nothing running.
+        sessions' worker pool threads — a closed service leaves nothing
+        running.
         """
         with self._lock:
             if self._closed:

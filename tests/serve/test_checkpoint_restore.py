@@ -102,6 +102,30 @@ class TestManagedSessionSnapshot:
         manager.close_all()
         fresh.close_all()
 
+    def test_old_executor_key_is_ignored_on_restore(self, registry,
+                                                    tmp_path):
+        """Checkpoints written while a process executor existed carry
+        the executor name in their spec; they still restore, and the
+        stream resumes bit-identically on threads."""
+        manager = SessionManager(registry)
+        session = manager.open("m", "alice", seed=5, exclude_training=True,
+                               workers=2)
+        session.generate(120)
+        payload = session.snapshot()
+        assert set(payload["spec"]) == {"capacity", "backend", "workers"}
+        after = session.generate(200).matrix
+
+        payload["spec"]["exec_backend"] = "process"
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(path, "sessions", {"sessions": [payload]})
+        fresh = SessionManager(registry)
+        loaded = load_checkpoint(path, kind="sessions")["sessions"][0]
+        restored = fresh.restore_session(loaded)
+        assert restored.spec.workers == 2
+        assert np.array_equal(after, restored.generate(200).matrix)
+        manager.close_all()
+        fresh.close_all()
+
     def test_restore_replaces_live_session(self, registry):
         manager = SessionManager(registry)
         session = manager.open("m", "alice", seed=5, exclude_training=True)

@@ -189,8 +189,11 @@ class TestHealth:
         assert health["timeouts"] == 0
         assert health["shed"] == 0
         assert health["retries"] == 0
-        assert health["exec"] == {"retries": 0, "degradations": 0}
         assert health["models"] == {"m": 1}
+        assert set(health) == {
+            "status", "pending", "max_pending", "workers", "timeouts",
+            "shed", "retries", "models",
+        }
 
     def test_health_reflects_timeouts_and_closure(self, service):
         release, blockers = jam_workers(service, 2)

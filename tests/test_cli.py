@@ -217,7 +217,7 @@ class TestServeCommand:
         assert health["status"] == "ok"
         assert health["models"] == {"m": 1}
         assert health["timeouts"] == 0
-        assert "pending" in health and "exec" in health
+        assert "pending" in health and "exec" not in health
 
     def test_line_protocol_survives_unforeseen_errors(
         self, address_file, capsys, monkeypatch

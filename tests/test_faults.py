@@ -8,7 +8,6 @@ from repro.errors import FaultPlanError
 from repro.faults import (
     INJECTABLE_ERRORS,
     PLAN_ENV,
-    SCOREBOARD_ENV,
     FaultPlan,
     active_plan,
     fault_point,
@@ -17,23 +16,23 @@ from repro.faults import (
 
 class TestParse:
     def test_nth_selector(self):
-        plan = FaultPlan.parse("pool.dispatch@5:raise=OSError")
+        plan = FaultPlan.parse("service.worker@5:raise=OSError")
         (rule,) = plan.rules
-        assert rule.site == "pool.dispatch"
+        assert rule.site == "service.worker"
         assert rule.nth == 5
-        assert rule.action == "raise"
         assert rule.exc_name == "OSError"
 
     def test_call_shard_selector(self):
-        plan = FaultPlan.parse("pool.shard@2.3:kill")
+        plan = FaultPlan.parse("pool.shard@2.3:raise=RuntimeError")
         (rule,) = plan.rules
         assert (rule.call, rule.shard) == (2, 3)
         assert rule.nth is None
-        assert rule.action == "kill"
+        assert rule.exc_name == "RuntimeError"
 
     def test_multiple_rules_and_whitespace(self):
         plan = FaultPlan.parse(
-            " pool.shard@0.1:kill ; service.worker@1:raise=RuntimeError ;"
+            " pool.shard@0.1:raise=OSError ;"
+            " service.worker@1:raise=RuntimeError ;"
         )
         assert len(plan.rules) == 2
 
@@ -42,8 +41,8 @@ class TestParse:
         "site@1",                      # no action
         "site@1:explode",              # unknown action
         "site@1:raise=NameError",      # not in the allowlist
-        "site@x:kill",                 # non-integer selector
-        "site@1.2.3:kill",             # malformed call.shard
+        "site@x:raise=OSError",        # non-integer selector
+        "site@1.2.3:raise=OSError",    # malformed call.shard
         "",                            # no rules at all
         " ; ; ",
     ])
@@ -59,7 +58,7 @@ class TestParse:
 class TestArming:
     def test_disarmed_site_is_a_no_op(self):
         assert active_plan() is None
-        fault_point("pool.dispatch")
+        fault_point("service.worker")
         fault_point("pool.shard", call=0, shard=0)
 
     def test_armed_rule_fires_exactly_once(self):
@@ -85,15 +84,12 @@ class TestArming:
     def test_armed_block_restores_prior_state(self):
         before_plan = active_plan()
         before_env = os.environ.get(PLAN_ENV)
-        plan = FaultPlan.parse("s@1:kill")
+        plan = FaultPlan.parse("s@1:raise=OSError")
         with plan.armed() as armed:
             assert active_plan() is armed is plan
-            assert os.environ[PLAN_ENV] == "s@1:kill"
-            assert os.path.isdir(os.environ[SCOREBOARD_ENV])
-            board = os.environ[SCOREBOARD_ENV]
+            # Arming is in-process only: the environment is untouched.
+            assert os.environ.get(PLAN_ENV) == before_env
         assert active_plan() is before_plan
-        assert os.environ.get(PLAN_ENV) == before_env
-        assert not os.path.isdir(board)  # owned board cleaned up
 
     def test_nested_arming_restores_outer_plan(self):
         outer = FaultPlan.parse("a@1:raise=OSError")
@@ -105,47 +101,20 @@ class TestArming:
         assert active_plan() is None
 
 
-class TestScoreboard:
-    """The cross-process once-only latch: a rule marked fired by one
-    plan instance (one process) stays fired for every other instance
-    sharing the board directory — the property that stops a ``kill``
-    rule from re-arming in freshly forked replacement workers."""
-
-    def test_fired_latch_is_shared_across_plan_instances(self):
-        first = FaultPlan.parse("s@1:raise=OSError")
-        with first.armed():
-            board = os.environ[SCOREBOARD_ENV]
-            with pytest.raises(OSError):
-                fault_point("s")
-            # A second instance (what a replacement worker would parse
-            # from the env) sees the latch file, not a fresh rule.
-            second = FaultPlan.parse("s@1:raise=OSError")
-            second._board = board
-            assert second.fired() == 1
-            with second.armed():
-                fault_point("s")  # would re-fire without the board
-
-    def test_board_survives_for_externally_owned_dirs(self, tmp_path):
-        plan = FaultPlan.parse("s@1:raise=OSError")
-        plan._board = str(tmp_path)
-        with plan.armed():
-            with pytest.raises(OSError):
-                fault_point("s")
-        assert (tmp_path / "0").exists()  # latch kept: board not owned
-
-
 class TestEnvArming:
     def test_plan_round_trips_through_env(self):
         from repro.faults import _plan_from_env
 
-        os.environ[PLAN_ENV] = "pool.shard@0.1:kill;s@3:raise=MemoryError"
+        os.environ[PLAN_ENV] = (
+            "pool.shard@0.1:raise=RuntimeError;s@3:raise=MemoryError"
+        )
         try:
             plan = _plan_from_env()
         finally:
             del os.environ[PLAN_ENV]
         assert plan is not None
         assert len(plan.rules) == 2
-        assert plan.rules[0].action == "kill"
+        assert plan.rules[0].exc_name == "RuntimeError"
 
     def test_empty_env_means_no_plan(self):
         from repro.faults import _plan_from_env
