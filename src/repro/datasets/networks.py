@@ -173,7 +173,9 @@ def _s1_ipv4_digits_sampler():
 
     def sample(rng: np.random.Generator, context: Dict) -> int:
         octets = (
-            int(rng.choice([10, 100, 127])),
+            # What rng.choice([10, 100, 127]) draws, on the same stream,
+            # without its per-call validation.
+            (10, 100, 127)[int(rng.integers(0, 3))],
             int(rng.integers(0, 256)),
             int(rng.integers(0, 256)),
             int(rng.integers(0, 200)),

@@ -58,20 +58,24 @@ class AddressScheme:
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names: {names}")
+        # Per-field constants of the per-row loop, computed once.
+        self._layout = [
+            (f, f.sampler, 4 * f.nybbles, f.cardinality) for f in self.fields
+        ]
 
     def generate_one(self, rng: np.random.Generator) -> int:
         """Draw a single address as a ``width``-nybble integer."""
         context: Dict[str, object] = {}
         value = 0
-        for field in self.fields:
-            piece = int(field.sampler(rng, context))
-            if not 0 <= piece < field.cardinality:
+        for field, sampler, bits, bound in self._layout:
+            piece = int(sampler(rng, context))
+            if not 0 <= piece < bound:
                 raise ValueError(
                     f"field {field.name!r} sampled {piece:#x}, which does "
                     f"not fit in {field.nybbles} nybbles"
                 )
             context[field.name] = piece
-            value = (value << (4 * field.nybbles)) | piece
+            value = (value << bits) | piece
         return value
 
     def generate(self, n: int, rng: np.random.Generator) -> List[int]:

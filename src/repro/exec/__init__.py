@@ -1,8 +1,7 @@
 """Sharded parallel execution engine for generation and scanning.
 
-The ROADMAP's north star is a system that "runs as fast as the
-hardware allows" via sharding and batching.  This package supplies the
-machinery:
+Generation and oracle scoring split their rows into shards; this
+package supplies the machinery:
 
 - :mod:`repro.exec.sharding` — deterministic work decomposition:
   balanced shard sizes and per-shard RNG streams spawned from one
@@ -13,13 +12,16 @@ machinery:
   :func:`~repro.exec.engine.sharded_generate_set` (the parallel
   counterpart of :meth:`repro.core.model.AddressModel.generate_set`)
   and :func:`~repro.exec.engine.sharded_map_rows` (row-sharded oracle
-  scoring).
+  scoring).  Both send a batch to the pool only when its shards reach
+  :data:`~repro.exec.engine.MIN_ROWS_PER_SHARD` rows; smaller batches
+  run the same shards inline, where threads cost more wall time than
+  they save.
 
 The design contract throughout: the *decomposition* is fixed by the
-``shards`` count and the caller's RNG, and workers only change how the
-shards are executed.  ``workers=4`` is therefore bit-identical to
-``workers=1`` at the same seed — parallelism is a pure throughput
-knob, never a determinism knob.
+``shards`` count and the caller's RNG, and workers (and the size gate)
+only change how the shards are executed.  ``workers=4`` is therefore
+bit-identical to ``workers=1`` at the same seed — parallelism is a
+pure throughput knob, never a determinism knob.
 """
 
 from repro.exec.engine import (

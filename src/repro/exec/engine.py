@@ -3,14 +3,21 @@
 :func:`sharded_generate_set` is the parallel counterpart of
 :meth:`repro.core.model.AddressModel.generate_set`.  Each oversampling
 round is split into ``shards`` fixed sub-draws; every shard samples and
-decodes with its own ``SeedSequence``-spawned RNG stream on a
-:class:`~repro.exec.pool.WorkerPool` thread, and the shard outputs are
-merged *in shard order* into the same growing
+decodes with its own ``SeedSequence``-spawned RNG stream, and the shard
+outputs are merged *in shard order* into the same growing
 :class:`~repro.ipv6.sets.BucketTable` dedup the serial loop uses.  The
 decomposition (shard count, shard sizes, shard streams) is a pure
 function of the caller's RNG and ``shards`` — workers only decide how
 many shards run concurrently — so ``workers=N`` output is
 bit-identical to ``workers=1`` at the same seed.
+
+Where the shards run is decided per batch by one rule: a batch goes to
+the :class:`~repro.exec.pool.WorkerPool` threads only when its largest
+shard holds at least :data:`MIN_ROWS_PER_SHARD` rows; a smaller batch
+runs the same shard tasks inline, in shard order, on the caller's
+thread.  Below that size the thread handoff (task dispatch, GIL
+contention between short numpy kernels) costs more than the overlap
+saves.  The gate reads the batch, not a setting, and changes no row.
 
 Zero-size shards (a batch smaller than ``shards``) are never
 dispatched: skipping an empty shard is output-neutral because each
@@ -19,8 +26,9 @@ rows.
 
 :func:`sharded_map_rows` is the scoring-side helper: it splits a row
 range into contiguous chunks and runs a pure per-chunk function across
-the pool, concatenating in order.  Oracle masks are pure per-row
-functions, so this is trivially exact for any worker count.
+the pool under the same size rule, concatenating in order.  Oracle
+masks are pure per-row functions, so this is trivially exact for any
+worker count.
 """
 
 from __future__ import annotations
@@ -43,9 +51,13 @@ from repro.ipv6.sets import AddressSet
 #: row (and therefore the output); changing ``workers`` never does.
 DEFAULT_SHARDS = 8
 
-#: Row count below which sharded scoring is not worth the thread
-#: handoff; the chunk function runs inline instead.
-MIN_ROWS_PER_SHARD = 4096
+#: Rows a batch's largest shard must hold before its shards run on
+#: pool threads; smaller batches run inline on the caller's thread.
+#: The smallest power of two at which threads at ``workers=2`` were no
+#: slower in wall time than inline for both drivers on S1 and R1 fits
+#: (README, "Parallel execution", has the crossover table).  Dispatch
+#: only: it never changes the decomposition or the output.
+MIN_ROWS_PER_SHARD = 65536
 
 
 def sharded_generate_set(
@@ -75,7 +87,10 @@ def sharded_generate_set(
     owns the pool: repeated calls against one session reuse one
     long-lived executor per worker count instead of re-spawning threads
     per call (the session's ``close`` releases them); stateless calls
-    own a pool for the call and close it on the way out.
+    own a pool for the call and close it on the way out.  Only batches
+    whose largest shard reaches :data:`MIN_ROWS_PER_SHARD` rows run on
+    the pool's threads; smaller ones run inline and never start the
+    executor.
 
     ``fused`` follows the serial path's semantics: by default each
     shard runs :func:`~repro.bayes.sampling.sample_packed` against its
@@ -136,7 +151,12 @@ def sharded_generate_set(
             for shard_index, (size, child) in enumerate(zip(sizes, children))
             if size > 0
         ]
-        parts = pool.map(task_fn, tasks)
+        # Threads only where the shards pay for the handoff; inline,
+        # the same tasks run in shard order, so the rows are the same.
+        if sizes.max() >= MIN_ROWS_PER_SHARD:
+            parts = pool.map(task_fn, tasks)
+        else:
+            parts = [task_fn(task) for task in tasks]
         words = np.vstack([part[1] for part in parts])
         if plan is not None:
             return None, words
@@ -168,9 +188,11 @@ def sharded_map_rows(
 
     ``fn`` must be a pure function of its row range returning a 1-D or
     2-D array of ``stop - start`` rows (an oracle mask, match
-    positions, ...).  With one worker — or too few rows to be worth
-    the handoff — the single full-range call runs inline, so serial
-    callers pay nothing.
+    positions, ...).  The chunks go to the pool only when each holds
+    at least :data:`MIN_ROWS_PER_SHARD` rows
+    (``n_rows >= shards * MIN_ROWS_PER_SHARD``); with one worker, one
+    shard or fewer rows, the single full-range call runs inline, so
+    serial callers and small batches pay no handoff.
     """
     pool = WorkerPool(workers)
     if shards is None:
@@ -178,7 +200,7 @@ def sharded_map_rows(
     if (
         pool.workers <= 1
         or shards <= 1
-        or n_rows < 2 * MIN_ROWS_PER_SHARD
+        or n_rows < shards * MIN_ROWS_PER_SHARD
     ):
         return fn(0, n_rows)
     try:

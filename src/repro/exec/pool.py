@@ -3,7 +3,10 @@
 The shard work units are numpy-heavy (BN inverse-CDF sampling, segment
 decoding, packed-row hashing), and numpy releases the GIL inside its
 kernels, so a thread pool overlaps real work without pickling anything
-across process boundaries.
+across process boundaries — once the shards are large enough to pay
+for the handoff; the engine decides that per batch
+(:data:`repro.exec.engine.MIN_ROWS_PER_SHARD`) and runs smaller
+batches inline without calling :meth:`WorkerPool.map`.
 
 The executor is **long-lived**: it is created lazily on the first
 parallel ``map`` and reused by every later call until :meth:`close`.

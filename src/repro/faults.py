@@ -11,10 +11,11 @@ bit-identical to the fault-free one.  This module provides that: named
 Sites currently woven in:
 
 ========================  ====================================================
-``pool.shard``            inside the sharded engine's shard task, on a
-                          :class:`~repro.exec.pool.WorkerPool` thread;
-                          selector = Nth hit or ``call.shard``.  Nothing
-                          recovers it: the fault reaches the caller
+``pool.shard``            inside the sharded engine's shard task, inline
+                          or on a :class:`~repro.exec.pool.WorkerPool`
+                          thread; selector = Nth hit or ``call.shard``.
+                          Nothing recovers it: the fault reaches the
+                          caller
 ``service.worker``        a :class:`~repro.serve.service.HitlistService`
                           worker thread, just before executing a request
 ``ingest.refit``          start of :meth:`IngestPipeline.refit`

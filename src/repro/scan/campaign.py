@@ -36,6 +36,7 @@ from typing import List, Sequence, Set
 import numpy as np
 
 from repro.core.pipeline import EntropyIP
+from repro.exec.pool import resolve_workers
 from repro.ipv6.sets import AddressSet, in_sorted, merge_sorted_unique
 from repro.scan.responder import SimulatedResponder
 from repro.serve.lifecycle import SessionSpec
@@ -98,6 +99,7 @@ class ScanCampaign:
     ):
         if probe_budget < 1 or round_size < 1:
             raise ValueError("budget and round size must be positive")
+        resolve_workers(workers)  # workers=0 fails here, before any fit
         self._training = training
         self._responder = responder
         self._budget = probe_budget
@@ -107,6 +109,10 @@ class ScanCampaign:
         # workers=N routes generation and scoring through the sharded
         # engine (repro.exec); campaign outcomes are bit-identical for
         # any N because the shard decomposition is worker-independent.
+        # Only batches whose shards reach the engine's
+        # MIN_ROWS_PER_SHARD rows run on threads: 10k-probe rounds draw
+        # batches of at most 40k rows and score 10k, so they run inline
+        # at any N.
         self._workers = workers
         # backend= picks the session's exclusion-store layout (see
         # repro.ipv6.backends): "memory" (default) or "sharded64" for

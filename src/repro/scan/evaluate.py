@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.pipeline import EntropyIP
 from repro.datasets.networks import SyntheticNetwork
+from repro.exec.pool import resolve_workers
 from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet, split_train_test
 from repro.scan.responder import SimulatedResponder
@@ -112,6 +113,7 @@ def scan_experiment(
     exclusion-store layout (``"memory"``/``"sharded64"``) — output is
     identical for every backend.
     """
+    resolve_workers(workers)  # workers=0 fails before the population builds
     population = network.population(seed)
     responder = SimulatedResponder(
         population,

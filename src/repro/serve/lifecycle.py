@@ -44,6 +44,7 @@ from repro.errors import (
     SessionClosedError,
     UnknownSessionError,
 )
+from repro.exec.pool import resolve_workers
 from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet
 from repro.serve.registry import ModelEntry, ModelRegistry
@@ -71,6 +72,11 @@ class SessionSpec:
     capacity: int = 0
     backend: BackendSpec = None
     workers: Optional[int] = None
+
+    def __post_init__(self):
+        # Reject ``workers=0`` when the recipe is written, not at the
+        # stream's first sharded draw.
+        resolve_workers(self.workers)
 
     def open(self, model: AddressModel) -> GenerationSession:
         """Open a fresh session on ``model`` per this recipe."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.exec.engine
 from repro.datasets.networks import (
     build_japanese_telco,
     build_r1,
@@ -10,6 +11,16 @@ from repro.datasets.networks import (
     build_s3,
 )
 from repro.ipv6.sets import AddressSet
+
+
+@pytest.fixture
+def threaded_shards(monkeypatch):
+    """Pin the engine's dispatch gate open: every shard batch, however
+    small, runs on pool threads.  ``workers=N`` ≡ ``workers=1`` tests
+    use it so they compare threaded shards with inline ones; at the
+    real ``MIN_ROWS_PER_SHARD`` their small draws would run inline on
+    both sides."""
+    monkeypatch.setattr(repro.exec.engine, "MIN_ROWS_PER_SHARD", 1)
 
 
 @pytest.fixture(scope="session")

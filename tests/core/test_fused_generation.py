@@ -100,6 +100,7 @@ class TestGoldenModels:
         )
         assert np.array_equal(fused.matrix, twostep.matrix), name
 
+    @pytest.mark.usefixtures("threaded_shards")
     def test_workers_invariant_through_fused_route(self, fitted):
         """workers=4 ≡ workers=1 with the fused batch draw."""
         name, model = fitted

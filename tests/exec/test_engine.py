@@ -5,6 +5,9 @@ a pure function of the caller's seed and the ``shards`` count, and the
 worker count only decides how many shards run concurrently.
 Everything here pins that — ``workers=4`` must be bit-identical to
 ``workers=1`` across generation, scan experiments and whole campaigns.
+These draws are small, so the worker-count tests pin the dispatch gate
+open (the ``threaded_shards`` fixture) to keep their shards on pool
+threads; ``TestDispatchGate`` checks the real gate on both sides.
 """
 
 import os
@@ -12,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.exec.engine as engine
 from repro.core.pipeline import EntropyIP
 from repro.datasets.networks import build_network
 from repro.exec import (
@@ -172,6 +176,7 @@ class TestPoolLifetime:
         pool.map(lambda x: x, range(8))
         assert pool._executor is None
 
+    @pytest.mark.usefixtures("threaded_shards")
     def test_session_reuses_one_pool_and_closes_it(self, s1_model):
         model, train = s1_model
         session = model.session(exclude=train)
@@ -184,6 +189,7 @@ class TestPoolLifetime:
         session.close()
         assert pool.closed
 
+    @pytest.mark.usefixtures("threaded_shards")
     def test_session_context_manager_closes_pools(self, s1_model):
         model, train = s1_model
         with model.session(exclude=train) as session:
@@ -194,11 +200,47 @@ class TestPoolLifetime:
         assert pool.closed
 
 
-class TestShardFault:
-    """A fault inside a shard task reaches the caller: the thread pool
-    has no recovery path, and it stays usable for the next map."""
+class TestDispatchGate:
+    """At the real ``MIN_ROWS_PER_SHARD``: a batch whose largest shard
+    is below it runs inline and never starts the session's executor;
+    one at or above it runs on the pool.  Both equal ``workers=1``."""
 
-    def test_shard_fault_propagates_and_pool_maps_again(self, s1_model):
+    @pytest.mark.parametrize(
+        "n,threaded",
+        [(2000, False), (2 * engine.MIN_ROWS_PER_SHARD, True)],
+        ids=["below", "at-or-above"],
+    )
+    def test_gate_decides_dispatch_not_rows(self, s1_model, n, threaded):
+        model, train = s1_model
+        # Two shards: the first batch (n + n // 8 + 64 rows at an
+        # assumed yield of 1) splits into halves of >= n / 2 rows.
+        outputs = []
+        for workers in (1, 2):
+            with model.session(exclude=train) as session:
+                out = model.generate_set(
+                    n, np.random.default_rng(7), state=session,
+                    workers=workers, shards=2,
+                )
+                assert session.get_pool(2).closed is not (
+                    threaded and workers == 2
+                )
+            outputs.append(out.matrix)
+        assert len(outputs[0]) == n
+        assert np.array_equal(outputs[0], outputs[1])
+
+
+class TestShardFault:
+    """A fault inside a shard task reaches the caller, inline or on a
+    pool thread: there is no recovery path, and the pool stays usable
+    for the next map."""
+
+    @pytest.mark.parametrize("threaded", [False, True],
+                             ids=["inline", "threaded"])
+    def test_shard_fault_propagates_and_pool_maps_again(
+        self, s1_model, threaded, request
+    ):
+        if threaded:
+            request.getfixturevalue("threaded_shards")
         model, train = s1_model
         with model.session(exclude=train) as session:
             plan = FaultPlan.parse("pool.shard@0.1:raise=RuntimeError")
@@ -210,9 +252,11 @@ class TestShardFault:
                     )
             assert plan.fired() == 1
             pool = session.get_pool(2)
+            assert pool.closed is not threaded
             assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
 
+@pytest.mark.usefixtures("threaded_shards")
 class TestEmptyShards:
     """A batch smaller than ``shards`` produces zero-size shards; they
     must never reach a sampler (size=0 draws are skipped entirely)."""
@@ -243,6 +287,7 @@ class TestEmptyShards:
 
 
 class TestShardedMapRows:
+    @pytest.mark.usefixtures("threaded_shards")
     def test_matches_inline_result(self):
         values = np.arange(100_000, dtype=np.int64)
 
@@ -263,7 +308,25 @@ class TestShardedMapRows:
         sharded_map_rows(fn, 100, workers=4)
         assert calls == [(0, 100)]
 
+    def test_chunks_at_the_gate(self):
+        """``n_rows >= shards * MIN_ROWS_PER_SHARD`` is chunked; one row
+        fewer runs as one inline call."""
+        calls = []
 
+        def fn(start, stop):
+            calls.append((start, stop))
+            return np.zeros(stop - start, dtype=bool)
+
+        gate = 2 * engine.MIN_ROWS_PER_SHARD
+        assert len(sharded_map_rows(fn, gate - 1, workers=2)) == gate - 1
+        assert calls == [(0, gate - 1)]
+        calls.clear()
+        assert len(sharded_map_rows(fn, gate, workers=2)) == gate
+        half = engine.MIN_ROWS_PER_SHARD
+        assert sorted(calls) == [(0, half), (half, gate)]
+
+
+@pytest.mark.usefixtures("threaded_shards")
 class TestGenerationDeterminism:
     """Same seed, any worker count → bit-identical generate_set output."""
 
@@ -334,6 +397,7 @@ class TestGenerationDeterminism:
         assert np.array_equal(results[0].matrix, results[1].matrix)
 
 
+@pytest.mark.usefixtures("threaded_shards")
 class TestScanDeterminism:
     def test_scan_experiment_workers_bit_identical(self):
         network = build_network("S1")

@@ -325,6 +325,7 @@ class TestPersistentSession:
         assert table.rows_stored == 2
         assert table.rows_offered == 5
 
+    @pytest.mark.usefixtures("threaded_shards")
     def test_workers_bit_identity_on_shared_prepopulated_session(self):
         # Two identically pre-populated sessions, one driven at
         # workers=1 and one at workers=4, across several generate_set

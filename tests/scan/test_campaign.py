@@ -16,6 +16,19 @@ def setup(r1_small):
 
 
 class TestCampaign:
+    def test_zero_workers_rejected_before_any_fit(self, setup, monkeypatch):
+        from repro.core.pipeline import EntropyIP
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before workers=0 was rejected")
+
+        monkeypatch.setattr(EntropyIP, "fit", no_fit)
+        _, responder, training = setup
+        with pytest.raises(ValueError, match="workers must be nonzero"):
+            ScanCampaign(training, responder, workers=0)
+        with pytest.raises(ValueError, match="workers must be nonzero"):
+            run_campaign(training, responder, workers=0)
+
     def test_budget_respected(self, setup):
         _, responder, training = setup
         result = run_campaign(training, responder, probe_budget=5000,

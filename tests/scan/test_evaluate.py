@@ -35,6 +35,14 @@ class TestScanExperiment:
         # The paper's headline: /64s never seen in training are found.
         assert r1_result.new_prefixes64 > 0
 
+    def test_zero_workers_rejected_before_population_builds(self):
+        class NoPopulation:
+            def population(self, seed):
+                raise AssertionError("population built before the check")
+
+        with pytest.raises(ValueError, match="workers must be nonzero"):
+            scan_experiment(NoPopulation(), workers=0)
+
     def test_row_rendering(self, r1_result):
         row = r1_result.row()
         assert "R1" in row and "success" in row

@@ -49,6 +49,13 @@ class TestSessionSpec:
         with pytest.raises(AttributeError):
             spec.capacity = 20
 
+    def test_zero_workers_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="workers must be nonzero"):
+            SessionSpec(workers=0)
+        # None (serial) stays None: it names a different stream than 1.
+        assert SessionSpec().workers is None
+        assert SessionSpec(workers=-1).workers == -1
+
 
 class TestManagedStream:
     def test_stream_bit_identical_to_direct_library_path(

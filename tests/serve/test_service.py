@@ -53,6 +53,7 @@ class TestThreadedBitIdentity:
     BATCHES = 4
     BATCH_ROWS = 120
 
+    @pytest.mark.usefixtures("threaded_shards")
     @pytest.mark.parametrize(
         "backend,workers",
         [(None, None), ("sharded64", None), (None, 2)],
@@ -239,15 +240,26 @@ class TestAccounting:
         raise RuntimeError("request blew up")
 
 
+class TestZeroWorkers:
+    def test_open_session_rejects_zero_workers_before_opening(
+        self, service
+    ):
+        with pytest.raises(ValueError, match="workers must be nonzero"):
+            service.open_session("m", "zero", workers=0)
+        assert list(service.sessions.keys()) == []
+
+
 class TestShutdownHygiene:
     """A closed service leaves no worker threads or executor pools."""
 
+    @pytest.mark.usefixtures("threaded_shards")
     def test_close_shuts_down_session_pools(self, analysis):
         registry = ModelRegistry()
         registry.register("m", analysis)
         service = HitlistService(registry=registry, workers=4)
         # Sharded draws from several clients spin up session-owned
-        # worker pools (one long-lived executor each).
+        # worker pools (one long-lived executor each); the gate is
+        # pinned open because 300-row draws would otherwise run inline.
         for client in ("a", "b"):
             service.generate("m", client, 300, seed=3, workers=2)
         pools = [
@@ -287,6 +299,7 @@ class TestShutdownHygiene:
         assert shared.get("m", "c").closed is False
         assert shared.close_all() == 1
 
+    @pytest.mark.usefixtures("threaded_shards")
     def test_evicted_session_releases_pools(self, analysis):
         from repro.serve import SessionManager
 
