@@ -54,9 +54,10 @@ DEFAULT_SHARDS = 8
 #: Rows a batch's largest shard must hold before its shards run on
 #: pool threads; smaller batches run inline on the caller's thread.
 #: The smallest power of two at which threads at ``workers=2`` were no
-#: slower in wall time than inline for both drivers on S1 and R1 fits
-#: (README, "Parallel execution", has the crossover table).  Dispatch
-#: only: it never changes the decomposition or the output.
+#: slower in wall time than inline for generation and scoring on S1
+#: and R1 fits (README, "Parallel execution", has the crossover
+#: table).  Dispatch only: it never changes the decomposition or the
+#: output.
 MIN_ROWS_PER_SHARD = 65536
 
 
