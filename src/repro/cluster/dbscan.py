@@ -33,7 +33,9 @@ This implementation supports:
 
 Both engines produce **identical labels**, not merely isomorphic
 clusterings: distances use the same ``sqrt((deltas**2).sum())``
-arithmetic, integer-valued weights make neighborhood sums
+arithmetic (the banded engine sums the squared terms column by column,
+left to right, which is the order numpy's ``sum(axis=1)`` adds fewer
+than 8 columns in), integer-valued weights make neighborhood sums
 order-independent, cluster ids number components by their smallest
 original core index (the order the scan discovers them), and a border
 point between two clusters joins the lower-numbered one (the one whose
@@ -62,6 +64,11 @@ _BAND_SLACK = 1e-9
 #: Candidate-pair budget of the banded engine (~30M pairs ≈ a few
 #: hundred MB transient); denser inputs fall back to the grid scan.
 _MAX_BAND_PAIRS = 30_000_000
+
+#: Columns below which numpy's ``(n, d).sum(axis=1)`` adds a row's
+#: terms left to right, the order the banded engine's column-wise sum
+#: uses; wider points go to the grid scan.
+_MAX_BANDED_DIMS = 8
 
 
 class DBSCAN:
@@ -146,15 +153,19 @@ def _banded_is_exact(
 ) -> bool:
     """True when the banded engine is label-identical to the grid scan.
 
-    Two conditions: all weights integral and summing inside the float64
-    exact-integer range (so neighborhood sums are order-independent),
-    and the band slack ``eps * _BAND_SLACK`` strictly dominating the
-    rounding of ``x ± radius`` at the coordinate magnitudes present (so
-    the candidate window cannot round past a true neighbor).  Both hold
-    for every input segment mining produces.
+    Three conditions: fewer than :data:`_MAX_BANDED_DIMS` coordinates
+    (so both engines add squared distance terms in one order), all
+    weights integral and summing inside the float64 exact-integer range
+    (so neighborhood sums are order-independent), and the band slack
+    ``eps * _BAND_SLACK`` strictly dominating the rounding of
+    ``x ± radius`` at the coordinate magnitudes present (so the
+    candidate window cannot round past a true neighbor).  All hold for
+    every input segment mining produces (one or two coordinates).
     """
     if points.shape[0] == 0:
         return True
+    if points.shape[1] >= _MAX_BANDED_DIMS:
+        return False
     if not np.all(weights == np.floor(weights)):
         return False
     if weights.sum() >= 2.0**53:
@@ -178,8 +189,10 @@ def _dbscan_banded(
     if n == 0:
         return labels
     order = np.argsort(points[:, 0], kind="stable")
-    sorted_points = points[order]
-    x = sorted_points[:, 0]
+    # One contiguous array per coordinate, in sorted order: pairs are
+    # gathered with 1-D ``take``s, never as rows of ``points``.
+    columns = [column.take(order) for column in points.T]
+    x = columns[0]
     radius = eps * (1.0 + _BAND_SLACK)
     lo = np.searchsorted(x, x - radius, side="left")
     hi = np.searchsorted(x, x + radius, side="right")
@@ -193,9 +206,14 @@ def _dbscan_banded(
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(band_widths[:-1], out=starts[1:])
     cols = np.arange(total, dtype=np.int64) - np.repeat(starts - lo, band_widths)
-    # The exact neighbor test, same arithmetic as the grid scan.
-    deltas = sorted_points[cols] - sorted_points[rows]
-    within = np.sqrt((deltas * deltas).sum(axis=1)) <= eps
+    # The exact neighbor test, same arithmetic as the grid scan: the
+    # squared terms are summed column by column, in column order.
+    squared = None
+    for column in columns:
+        delta = column.take(cols) - column.take(rows)
+        delta *= delta
+        squared = delta if squared is None else squared + delta
+    within = np.sqrt(squared) <= eps
     rows, cols = rows[within], cols[within]
     sorted_weights = weights[order]
     neighborhood_weight = np.bincount(
@@ -210,9 +228,9 @@ def _dbscan_banded(
         # to core j > i exactly when every consecutive gap between them
         # passes the eps test (distance is monotone along the line), so
         # components split at consecutive-core gaps exceeding eps.
-        core_x = sorted_points[core_indices]
+        core_x = x.take(core_indices)
         gap = core_x[1:] - core_x[:-1]
-        broken = np.sqrt((gap * gap).sum(axis=1)) > eps
+        broken = np.sqrt(gap * gap) > eps
         component = np.concatenate([[0], np.cumsum(broken)])
     else:
         # Components of the core-core adjacency (sparse, C pass).

@@ -370,6 +370,11 @@ def run_generation_rounds(
     not retired — the session ends the call holding exactly its prior
     rows plus the rows returned, which keeps session-backed sequences
     bit-identical to the legacy grow-and-repass ``exclude`` pattern.
+    A call that raises (a shard fault, an interrupt) returns nothing,
+    so it keeps nothing either: the session's table is rolled back to
+    its state at entry (:meth:`~repro.ipv6.sets.BucketTable.rollback_to`)
+    before the error propagates, and a retry from the same RNG state
+    returns what an unfaulted call would have.
 
     ``constrained`` marks evidence-constrained draws, which materialize
     an oversample=4 likelihood-weighting pool per batch and therefore
@@ -400,6 +405,7 @@ def run_generation_rounds(
                 f"{max(remaining, 0)} more (cap {state.capacity})"
             )
         seen = state.table
+        entry = seen.mark()
     else:
         excluded = exclude_packed_words(exclude, width)
         # Pre-size for the expected final population (kept rows plus
@@ -416,42 +422,47 @@ def run_generation_rounds(
     # geometrically many.
     marginal_yield = 1.0
     batch_cap = max(n if constrained else 4 * n, 8192)
-    for round_index in range(max_batches):
-        need = n - kept
-        if need <= 0:
-            break
-        batch_size = generation_batch_size(need, marginal_yield, batch_cap)
-        matrix, words = draw(batch_size)
-        # Bounded insert: at most ``need`` fresh rows are admitted, so
-        # the table never retains overshoot beyond the requested n.
-        # The returned rows are identical to the unbounded
-        # insert-then-truncate pattern (the limited mask keeps the
-        # first ``need`` fresh rows in stream order — exactly the rows
-        # truncation kept), and for a persistent session the exact cut
-        # (rows past it are never inserted) is what keeps future calls
-        # able to re-emit the overshoot.
-        fresh = seen.insert_packed(words, limit=need)
-        new_found = int(np.count_nonzero(fresh))
-        if new_found:
-            kept_chunk = words[fresh]
-            if matrix is None:
-                # Fused draw: the nybble matrix was never built for the
-                # batch; materialize it for the kept rows alone.
-                chunks_matrix.append(unpack_rows(kept_chunk, width))
-            else:
-                chunks_matrix.append(matrix[fresh])
-            chunks_words.append(kept_chunk)
-            kept += new_found
-        marginal_yield = max(new_found / batch_size, 1.0 / batch_size)
-        # Saturation guard: when the model's effective support is
-        # (nearly) exhausted, rounds trickle in a handful of new rows
-        # each.  Stop once the remaining rounds cannot plausibly close
-        # the gap at the observed marginal yield, returning the partial
-        # result instead of burning max-size batches.
-        rounds_left = max_batches - round_index - 1
-        reachable = marginal_yield * batch_cap * rounds_left
-        if new_found == 0 or reachable < n - kept:
-            break
+    try:
+        for round_index in range(max_batches):
+            need = n - kept
+            if need <= 0:
+                break
+            batch_size = generation_batch_size(need, marginal_yield, batch_cap)
+            matrix, words = draw(batch_size)
+            # Bounded insert: at most ``need`` fresh rows are admitted, so
+            # the table never retains overshoot beyond the requested n.
+            # The returned rows are identical to the unbounded
+            # insert-then-truncate pattern (the limited mask keeps the
+            # first ``need`` fresh rows in stream order — exactly the rows
+            # truncation kept), and for a persistent session the exact cut
+            # (rows past it are never inserted) is what keeps future calls
+            # able to re-emit the overshoot.
+            fresh = seen.insert_packed(words, limit=need)
+            new_found = int(np.count_nonzero(fresh))
+            if new_found:
+                kept_chunk = words.compress(fresh, axis=0)
+                if matrix is None:
+                    # Fused draw: the nybble matrix was never built for the
+                    # batch; materialize it for the kept rows alone.
+                    chunks_matrix.append(unpack_rows(kept_chunk, width))
+                else:
+                    chunks_matrix.append(matrix.compress(fresh, axis=0))
+                chunks_words.append(kept_chunk)
+                kept += new_found
+            marginal_yield = max(new_found / batch_size, 1.0 / batch_size)
+            # Saturation guard: when the model's effective support is
+            # (nearly) exhausted, rounds trickle in a handful of new rows
+            # each.  Stop once the remaining rounds cannot plausibly close
+            # the gap at the observed marginal yield, returning the partial
+            # result instead of burning max-size batches.
+            rounds_left = max_batches - round_index - 1
+            reachable = marginal_yield * batch_cap * rounds_left
+            if new_found == 0 or reachable < n - kept:
+                break
+    except BaseException:
+        if state is not None:
+            seen.rollback_to(entry)
+        raise
     if not chunks_matrix:
         return AddressSet.empty(width)
     kept_matrix = (

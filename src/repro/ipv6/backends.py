@@ -129,6 +129,17 @@ class AddressSetBackend(Protocol):
         """Finalize the pending :meth:`insert_reversible`."""
         ...
 
+    def mark(self) -> object:
+        """The store's current state, for :meth:`rollback_to`."""
+        ...
+
+    def rollback_to(self, mark: object) -> None:
+        """Put the store back to its state at :meth:`mark`, across any
+        number of inserts since: what a
+        :func:`~repro.core.model.run_generation_rounds` call that raises
+        uses to keep none of its rows."""
+        ...
+
 
 class ShardedBucketTable:
     """A bank of :class:`BucketTable` shards routed by /64-prefix hash.
@@ -363,6 +374,22 @@ class ShardedBucketTable:
         self._revert = None
         for shard in touched:
             self._shards[shard].commit_insert()
+
+    def mark(self) -> Tuple[int, List[Tuple[int, int]]]:
+        """The global offered counter and every shard's
+        :meth:`BucketTable.mark`, for :meth:`rollback_to`."""
+        return self._offered, [shard.mark() for shard in self._shards]
+
+    def rollback_to(self, mark: Tuple[int, List[Tuple[int, int]]]) -> None:
+        """Put every shard that changed since :meth:`mark` back to its
+        own mark (:meth:`BucketTable.rollback_to`), and the global
+        offered counter with them."""
+        offered, shard_marks = mark
+        for shard, shard_mark in zip(self._shards, shard_marks):
+            if shard.mark() != shard_mark:
+                shard.rollback_to(shard_mark)
+        self._offered = offered
+        self._revert = None
 
     def insert_packed(
         self,

@@ -22,6 +22,12 @@ scoring path never materializes a per-row Python integer.
 sorted searchsorted index survives as
 :meth:`AddressSet._match_rows_sorted` so the perf harness can measure
 the bucket table against it on identical batches.
+
+Rows with a short last axis (packed words, nybble rows) are gathered
+with ``take(..., axis=0)`` and selected with ``compress(..., axis=0)``,
+and packed rows are compared column by column (:func:`_rows_equal`):
+numpy's row-wise ``a[idx]``, ``a[mask]`` and ``(a == b).all(axis=1)``
+cost several times as much on such arrays.
 """
 
 from __future__ import annotations
@@ -116,6 +122,19 @@ def _mix_words(words: np.ndarray) -> np.ndarray:
     for j in range(words.shape[1]):
         mixed = _mix64(words[:, j] ^ mixed)
     return mixed
+
+
+def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each row of ``a`` equals the same row of ``b``.
+
+    One ``==`` per column, joined with ``&``: the same mask as
+    ``(a == b).all(axis=1)``, which on a short last axis reduces each
+    row on its own and costs several times as much.
+    """
+    equal = a[:, 0] == b[:, 0]
+    for column in range(1, a.shape[1]):
+        equal &= a[:, column] == b[:, column]
+    return equal
 
 
 def pack_rows(matrix: np.ndarray) -> np.ndarray:
@@ -225,10 +244,12 @@ def first_occurrence_positions(
         order = np.lexsort(
             tuple(words[:, j] for j in range(words.shape[1] - 1, -1, -1))
         )
-    sorted_words = words[order]
+    sorted_words = words.take(order, axis=0)
     run_start = np.empty(len(order), dtype=bool)
     run_start[0] = True
-    np.any(sorted_words[1:] != sorted_words[:-1], axis=1, out=run_start[1:])
+    np.logical_not(
+        _rows_equal(sorted_words[1:], sorted_words[:-1]), out=run_start[1:]
+    )
     winners = order[run_start]
     winners = winners[winners >= offset] - offset
     mask = np.zeros(n, dtype=bool)
@@ -242,13 +263,16 @@ class BucketTable:
     The random-access floor of a sorted ``searchsorted`` membership
     probe is ~log2(n) dependent cache misses per query; an open-address
     table needs ~1-2 independent gathers at load factor <= 1/2.  Rows
-    are keyed by their SplitMix64-mixed fold (:func:`_mix_words`),
-    probed linearly in a power-of-two slot array, and every key match
-    is verified against the actual packed words — so two *distinct*
-    rows whose 64-bit folds collide simply occupy adjacent slots and
-    both remain individually findable (the probe walks past a
-    word-mismatched key instead of stopping).  Exactness never depends
-    on the fold being collision-free.
+    are placed by their SplitMix64-mixed fold (:func:`_mix_words`) and
+    probed linearly in a power-of-two slot array; every occupied slot
+    a probe reaches has its stored row compared with the query word by
+    word (:func:`_rows_equal`).  The fold only places rows and never
+    decides equality, so two *distinct* rows whose 64-bit folds
+    collide simply occupy adjacent slots and both remain individually
+    findable (the probe walks past a row that differs instead of
+    stopping).  Exactness never depends on the fold being
+    collision-free; the stored folds are kept only to re-place rows
+    when the slot array is rebuilt.
 
     The table is growable: :meth:`insert` accepts batches, suppresses
     rows already present (first occurrence wins), and doubles the slot
@@ -265,7 +289,9 @@ class BucketTable:
     round that overshoots its target never pollutes the persistent
     state), and the :attr:`rows_stored`/:attr:`rows_offered` snapshot
     counters.  Growth rehashes from the stored columns only — source
-    matrices that were folded in are never re-read.
+    matrices that were folded in are never re-read.  :meth:`mark` and
+    :meth:`rollback_to` put the table back to an earlier state across
+    any number of inserts (a session draw that raises keeps no rows).
 
     All operations are vectorized over batches; nothing on the probe
     path touches per-row Python.
@@ -559,7 +585,7 @@ class BucketTable:
                 winners = claimed == rows_e
                 win_rows = rows_e[winners]
                 storage = self._append(
-                    words[win_rows], mixed[win_rows], ids[win_rows]
+                    words.take(win_rows, axis=0), mixed[win_rows], ids[win_rows]
                 )
                 won_slots = slots_e[winners]
                 self._slots[won_slots] = storage.astype(np.int32)
@@ -576,29 +602,19 @@ class BucketTable:
                 loser = ~winners
                 if loser.any():
                     l_pos = e_pos[loser]
-                    l_rows = rows_e[loser]
-                    w_rows = claimed[loser]
-                    same_key = mixed[l_rows] == mixed[w_rows]
-                    dup_l = np.zeros(l_pos.size, dtype=bool)
-                    if same_key.any():
-                        dup_l[same_key] = (
-                            words[l_rows[same_key]] == words[w_rows[same_key]]
-                        ).all(axis=1)
+                    dup_l = _rows_equal(
+                        words.take(rows_e[loser], axis=0),
+                        words.take(claimed[loser], axis=0),
+                    )
                     resolved[l_pos[dup_l]] = True
                     advance_l = l_pos[~dup_l]
                     probe[advance_l] = (probe[advance_l] + 1) & step
             o_pos = np.flatnonzero(~empty)
             if o_pos.size:
-                stored = at[o_pos]
-                rows_o = pending[o_pos]
-                key_eq = self._mixed[stored] == mixed[rows_o]
-                duplicate = np.zeros(o_pos.size, dtype=bool)
-                if key_eq.any():
-                    cand = stored[key_eq]
-                    rows_eq = rows_o[key_eq]
-                    duplicate[key_eq] = (
-                        self._words[cand] == words[rows_eq]
-                    ).all(axis=1)
+                duplicate = _rows_equal(
+                    self._words.take(at[o_pos], axis=0),
+                    words.take(pending[o_pos], axis=0),
+                )
                 resolved[o_pos[duplicate]] = True
                 mismatch = o_pos[~duplicate]
                 probe[mismatch] = (probe[mismatch] + 1) & step
@@ -707,7 +723,9 @@ class BucketTable:
                 offer = limit + self._screen(
                     words[limit:], need, first + need // 8
                 )
-                fresh[offer] = self.insert(words[offer], ids[offer])
+                fresh[offer] = self.insert(
+                    words.take(offer, axis=0), ids[offer]
+                )
         self._offered = offered_mark + m
         return fresh
 
@@ -730,24 +748,54 @@ class BucketTable:
             found = np.flatnonzero(self._find(words[start:stop]) < 0)
             miss = np.concatenate([miss, start + found])
             if len(miss) > need:
-                distinct = miss[first_occurrence_positions(words[miss])]
+                distinct = miss[
+                    first_occurrence_positions(words.take(miss, axis=0))
+                ]
                 if len(distinct) >= need:
                     return distinct[:need]
             start, stop = stop, 2 * stop
         return miss
 
-    def _rollback(self, count_mark: int, offered_mark: int) -> None:
+    def mark(self) -> "tuple[int, int]":
+        """The table's state as ``(rows stored, rows offered)``, for
+        :meth:`rollback_to`."""
+        return self._count, self._offered
+
+    def rollback_to(self, mark: "tuple[int, int]") -> None:
+        """Put the table back to its state at :meth:`mark`, across any
+        number of inserts since.
+
+        Rows are only ever appended, so the rows stored at the mark are
+        the first ``rows stored`` of the stored columns: the rows after
+        them are dropped and the slot array is rebuilt from the rows
+        kept, as :meth:`_rollback` does after a growth.  ``len``,
+        :attr:`rows_offered` and :meth:`state_digest` then read as they
+        did at the mark.
+        """
+        count_mark, offered_mark = mark
+        if not 0 <= count_mark <= self._count:
+            raise ValueError(
+                f"mark holds {count_mark} rows; the table stores {self._count}"
+            )
+        self._revert_mark = None
+        # An insert cut short may have left claims behind.
+        self._claim.fill(-1)
+        self._rollback(count_mark, offered_mark, rebuild=True)
+
+    def _rollback(
+        self, count_mark: int, offered_mark: int, rebuild: bool = False
+    ) -> None:
         """Undo the most recent :meth:`insert` call entirely.
 
         Safe because older entries never probe *past* slots that were
         still empty when they were placed: releasing every slot the
         rolled-back batch claimed restores the exact pre-insert probe
         topology.  If the batch grew (and therefore rehashed) the slot
-        array, the array is rebuilt from the surviving stored rows
-        instead — stored columns are never re-read from any source
-        matrix.
+        array, or ``rebuild`` is set, the array is rebuilt from the
+        surviving stored rows instead — stored columns are never
+        re-read from any source matrix.
         """
-        if self._undo_grew:
+        if rebuild or self._undo_grew:
             self._slots.fill(-1)
             if count_mark:
                 self._place_all(self._mixed[:count_mark])
@@ -762,9 +810,9 @@ class BucketTable:
     def lookup(self, words: np.ndarray) -> np.ndarray:
         """External id of each queried row, or -1 when absent.
 
-        One ``~1-2``-gather linear probe per query row; every key hit
-        is word-verified, so the answer is exact even across fold
-        collisions.
+        One ``~1-2``-gather linear probe per query row; every occupied
+        slot reached is compared word by word, so the answer is exact
+        even across fold collisions.
         """
         found = self._find(words)
         hit = found >= 0
@@ -773,7 +821,14 @@ class BucketTable:
 
     def _find(self, words: np.ndarray) -> np.ndarray:
         """Storage index of each queried row, or -1 when absent: the
-        probe behind :meth:`lookup`, without its gather of ids."""
+        probe behind :meth:`lookup`, without its gather of ids.
+
+        The fold of a row gives its home slot and nothing else: each
+        occupied slot the probe reaches is checked by gathering its
+        stored row (``take``) and comparing it with the query column by
+        column (:func:`_rows_equal`).  Equal rows have equal folds, so
+        no fold comparison is needed first.
+        """
         words = np.ascontiguousarray(words, dtype=np.uint64)
         if words.ndim != 2 or words.shape[1] != self._word_count:
             raise ValueError(
@@ -797,13 +852,9 @@ class BucketTable:
         if o_pos.size == 0:
             return out
         stored = at[o_pos]
-        key_eq = self._mixed[stored] == mixed[o_pos]
-        match = np.zeros(o_pos.size, dtype=bool)
-        if key_eq.any():
-            cand = stored[key_eq]
-            match[key_eq] = (
-                self._words[cand] == words[o_pos[key_eq]]
-            ).all(axis=1)
+        match = _rows_equal(
+            self._words.take(stored, axis=0), words.take(o_pos, axis=0)
+        )
         out[o_pos[match]] = stored[match]
         pending = o_pos[~match]
         probe = (probe[pending] + 1) & step
@@ -814,15 +865,10 @@ class BucketTable:
             o_pos = np.flatnonzero(~empty)
             if o_pos.size:
                 stored = at[o_pos]
-                rows_o = pending[o_pos]
-                key_eq = self._mixed[stored] == mixed[rows_o]
-                match = np.zeros(o_pos.size, dtype=bool)
-                if key_eq.any():
-                    cand = stored[key_eq]
-                    rows_eq = rows_o[key_eq]
-                    match[key_eq] = (
-                        self._words[cand] == words[rows_eq]
-                    ).all(axis=1)
+                match = _rows_equal(
+                    self._words.take(stored, axis=0),
+                    words.take(pending[o_pos], axis=0),
+                )
                 hit = o_pos[match]
                 out[pending[hit]] = stored[match]
                 resolved[hit] = True
@@ -1296,7 +1342,7 @@ class AddressSet:
         if k > len(self):
             raise ValueError(f"cannot sample {k} of {len(self)} rows")
         index = rng.choice(len(self), size=k, replace=False)
-        return AddressSet(self._matrix[np.sort(index)])
+        return AddressSet(self._matrix.take(np.sort(index), axis=0))
 
     def truncate(self, width: int) -> "AddressSet":
         """Keep only the top ``width`` nybbles of each row."""
@@ -1312,7 +1358,9 @@ class AddressSet:
 
     def take(self, indices: Sequence[int]) -> "AddressSet":
         """Select rows by position."""
-        return AddressSet(self._matrix[np.asarray(indices, dtype=np.intp)])
+        return AddressSet(
+            self._matrix.take(np.asarray(indices, dtype=np.intp), axis=0)
+        )
 
     def __iter__(self) -> Iterator[IPv6Address]:
         return iter(self.addresses())

@@ -255,6 +255,37 @@ class TestShardFault:
             assert pool.closed is not threaded
             assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
+    @pytest.mark.parametrize("backend", ["memory", "sharded64"])
+    def test_faulted_session_draw_keeps_no_rows(self, r1_model, backend):
+        # The second batch's first shard raises after the first batch's
+        # rows went into the session.  The call returns no rows, so the
+        # session keeps none, and a retry from the same RNG state
+        # returns the rows of an unfaulted call.
+        model, train = r1_model
+        n = 50_000
+        with model.session(exclude=train, backend=backend) as session:
+            table = session.table
+            before = (len(session), table.rows_offered, table.state_digest())
+            rng = np.random.default_rng(11)
+            saved = rng.bit_generator.state
+            plan = FaultPlan.parse("pool.shard@1.0:raise=RuntimeError")
+            with plan.armed():
+                with pytest.raises(RuntimeError, match="injected fault"):
+                    model.generate_set(n, rng, state=session, workers=2)
+            assert plan.fired() == 1
+            after = (len(session), table.rows_offered, table.state_digest())
+            assert after == before
+            rng.bit_generator.state = saved
+            retried = model.generate_set(n, rng, state=session, workers=2)
+        with model.session(exclude=train, backend=backend) as clean:
+            expected = model.generate_set(
+                n, np.random.default_rng(11), state=clean, workers=2
+            )
+        assert len(retried) == n
+        assert np.array_equal(retried.matrix, expected.matrix)
+        assert table.rows_offered == clean.table.rows_offered
+        assert table.state_digest() == clean.table.state_digest()
+
 
 @pytest.mark.usefixtures("threaded_shards")
 class TestEmptyShards:

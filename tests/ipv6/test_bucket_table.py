@@ -425,13 +425,20 @@ class TestLimitedInsertOracle:
         fold=st.sampled_from(sorted(_FOLDS)),
         capacity=st.sampled_from([0, 128]),
         explicit_ids=st.booleans(),
+        shared=st.sampled_from([None, 0, 1]),
     )
     def test_against_python_set(
         self, seed, distinct, stored, batch, extra_limit, fold, capacity,
-        explicit_ids,
+        explicit_ids, shared,
     ):
         rng = np.random.default_rng(seed)
         pool = _random_words(rng, 40)
+        extra = _random_words(rng, 20)
+        if shared is not None:
+            # Every row, probes included, has the same word ``shared``
+            # and differs in the other only: the same /64 with other
+            # interface IDs (shared 0), or the other way round.
+            pool[:, shared] = extra[:, shared] = pool[0, shared]
         # Fewer distinct rows, more duplicates in the batch and overlap
         # with the stored rows.
         stored = [i % distinct for i in stored]
@@ -461,7 +468,7 @@ class TestLimitedInsertOracle:
             reference = BucketTable(2, capacity=capacity)
             reference.insert_packed(pool[stored])
             reference.insert(words[admitted], ids=stream)
-            probe = np.vstack([pool, _random_words(rng, 20)])
+            probe = np.vstack([pool, extra])
             assert np.array_equal(table.lookup(probe), reference.lookup(probe))
             assert np.array_equal(
                 table.contains(probe), reference.lookup(probe) >= 0

@@ -250,18 +250,26 @@ class TestVectorizedEquivalence:
         st.lists(st.integers(0, 30), min_size=0, max_size=10),
     )
     def test_first_occurrence_matches_python_reference(self, stream, exclude):
-        s = AddressSet.from_ints(stream, width=4, already_truncated=True)
-        e = AddressSet.from_ints(exclude, width=4, already_truncated=True)
-        positions = first_occurrence_positions(
-            s.packed_rows(), e.packed_rows()
-        )
         seen = set(exclude)
         expected = []
         for position, value in enumerate(stream):
             if value not in seen:
                 seen.add(value)
                 expected.append(position)
-        assert positions.tolist() == expected
+
+        def one_word(values):
+            return AddressSet.from_ints(values, width=4, already_truncated=True)
+
+        def two_words(values):
+            # Value v is the packed pair (v // 6, v % 6): distinct values
+            # share word 0 and differ in word 1, or the other way round.
+            return AddressSet.from_ints([(v // 6) << 64 | v % 6 for v in values])
+
+        for build in (one_word, two_words):
+            positions = first_occurrence_positions(
+                build(stream).packed_rows(), build(exclude).packed_rows()
+            )
+            assert positions.tolist() == expected
 
 
 class TestRoundTrips:

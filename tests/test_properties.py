@@ -5,7 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bayes.scores import FamilyStats, family_score
-from repro.cluster.dbscan import _banded_is_exact, _dbscan_banded, _dbscan_grid
+from repro.cluster.dbscan import (
+    _MAX_BANDED_DIMS,
+    _banded_is_exact,
+    _dbscan_banded,
+    _dbscan_grid,
+)
 from repro.core.pipeline import EntropyIP
 from repro.ipv6.sets import AddressSet
 from repro.stats.entropy import (
@@ -317,3 +322,19 @@ class TestDBSCANEngineParity:
         grid = _dbscan_grid(points, weights, eps, min_samples)
         banded = _dbscan_banded(points, weights, eps, min_samples)
         assert np.array_equal(grid, banded)
+
+    def test_column_sums_are_row_sums_below_the_dims_bound(self):
+        # The banded engine adds squared terms column by column, left to
+        # right; the grid scan calls sum(axis=1).  They agree bit for bit
+        # only below _MAX_BANDED_DIMS columns, and wider points go to the
+        # grid scan.
+        generator = np.random.default_rng(0)
+        for dims in range(1, _MAX_BANDED_DIMS):
+            deltas = generator.standard_normal((20_000, dims)) * 1e6
+            squares = deltas * deltas
+            by_column = squares[:, 0]
+            for column in range(1, dims):
+                by_column = by_column + squares[:, column]
+            assert np.array_equal(by_column, squares.sum(axis=1))
+        wide = np.zeros((3, _MAX_BANDED_DIMS))
+        assert not _banded_is_exact(wide, np.ones(3), 1.0)
