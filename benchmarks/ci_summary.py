@@ -142,19 +142,6 @@ def render_markdown(record: Dict) -> str:
                 f"{workers.get('addresses_per_second', 0):,.0f} | "
                 f"bit-identical {verdict} |"
             )
-    backends = record.get("backends")
-    if backends:
-        verdict = "✅" if backends.get("identical") else "❌"
-        for backend_name in ("memory", "sharded64"):
-            stage = backends.get(backend_name)
-            if not stage:
-                continue
-            lines.append(
-                f"| — | backend/{backend_name} "
-                f"({backends.get('rows_offered', 0):,} rows) | "
-                f"{stage.get('insert_rows_per_second', 0):,.0f} | "
-                f"identical verdicts {verdict} |"
-            )
     service = record.get("service_throughput")
     if service:
         verdict = "✅" if service.get("identical_to_direct") else "❌"
@@ -215,12 +202,6 @@ def check_gates(record: Dict) -> List[str]:
                 f"{name}: steady-state campaign diverged from the "
                 "re-seeding reference"
             )
-    backends = record.get("backends")
-    if backends is not None and not backends.get("identical"):
-        failures.append(
-            "storage backends returned different verdicts under the "
-            "identical insert/lookup schedule"
-        )
     service = record.get("service_throughput")
     if service is not None and not service.get("identical_to_direct"):
         failures.append(

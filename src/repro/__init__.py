@@ -16,10 +16,11 @@ Quickstart::
 The curated one-call surface below is the package's public API —
 analysis (:class:`EntropyIP`), the serving runtime
 (:class:`ModelRegistry`, :class:`SessionSpec`, :class:`HitlistService`),
-streaming ingestion (:class:`IngestPipeline`), exclusion-store
-selection (:func:`make_backend`) and the consolidated error hierarchy
-(:class:`ReproError`).  ``tests/test_public_api.py`` pins ``__all__``
-so entry-point drift is a test failure, not a silent break.
+streaming ingestion (:class:`IngestPipeline`), the exclusion store
+(:func:`make_backend` builds the one flat table sessions use) and the
+consolidated error hierarchy (:class:`ReproError`).
+``tests/test_public_api.py`` pins ``__all__`` so entry-point drift is
+a test failure, not a silent break.
 
 See :mod:`repro.core.pipeline` for the facade, :mod:`repro.datasets` for
 the synthetic network models used in the evaluation,

@@ -42,11 +42,6 @@ from repro.viz.figures import (
     render_mining_table,
 )
 
-#: Exclusion-store layouts selectable from the CLI (see
-#: :mod:`repro.ipv6.backends`); emitted rows are backend-independent.
-BACKEND_CHOICES = ("memory", "sharded64")
-
-
 def _write_addresses(rows) -> None:
     """Write an :class:`~repro.ipv6.sets.AddressSet` as RFC 5952 lines.
 
@@ -87,7 +82,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # One-shot use of the same runtime path the long-running service
     # serves: fit → registry, session → lifecycle, draw → facade.
     # Bit-identical to the direct EntropyIP.fit + generate_addresses
-    # call for the same (seed, workers, backend).
+    # call for the same (seed, workers).
     with HitlistService() as service:
         service.fit(args.file, addresses, width=args.width)
         candidates = service.generate(
@@ -95,7 +90,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "cli",
             args.count,
             seed=args.seed,
-            backend=args.backend,
             workers=args.workers or None,
         )
     _write_addresses(candidates)
@@ -116,7 +110,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         n_candidates=args.count,
         seed=args.seed,
         workers=args.workers or None,
-        backend=args.backend,
     )
     print(result.row())
     return 0
@@ -316,7 +309,6 @@ def _serve_synthetic(service, name: str, args: argparse.Namespace) -> int:
                 f"client-{index}",
                 args.count,
                 seed=args.seed + index,
-                backend=args.backend,
                 workers=args.workers or None,
             )
 
@@ -421,7 +413,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             "monitor",
             seed=args.seed,
             capacity=args.capacity,
-            backend=args.backend,
             workers=args.workers or None,
         )
         before = service.generate(args.name, "monitor", args.count)
@@ -505,9 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--workers", type=int, default=0,
                           help="shard generation across N worker threads "
                           "(0 = serial; output depends only on the seed)")
-    generate.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                          help="exclusion-store layout (default: memory; "
-                          "output is identical for every backend)")
     generate.set_defaults(func=_cmd_generate)
 
     dataset = sub.add_parser("dataset", help="emit a built-in synthetic set")
@@ -524,9 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--workers", type=int, default=0,
                       help="shard generation and oracle scoring across N "
                       "worker threads (0 = serial)")
-    scan.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                      help="exclusion-store layout (default: memory; "
-                      "results are identical for every backend)")
     scan.set_defaults(func=_cmd_scan)
 
     mi = sub.add_parser("mi", help="mutual-information heat map")
@@ -567,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent client threads in synthetic mode")
     serve.add_argument("--workers", type=int, default=0,
                        help="shard each draw across N worker threads")
-    serve.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                       help="exclusion-store layout for served sessions")
     serve.add_argument("--service-workers", type=int, default=2,
                        help="service worker threads draining the queue")
     serve.add_argument("--max-pending", type=int, default=64,
@@ -608,8 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--seed", type=int, default=0)
     ingest.add_argument("--workers", type=int, default=0,
                         help="shard monitor draws across N worker threads")
-    ingest.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
-                        help="exclusion-store layout for the monitor stream")
     ingest.add_argument("--capacity", type=int, default=0,
                         help="capacity cap of the monitor stream (0 = "
                         "uncapped)")

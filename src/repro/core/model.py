@@ -24,7 +24,6 @@ from repro.core.encoding import AddressEncoder
 # Defined in the consolidated hierarchy (repro.errors); re-exported
 # here because this module is its historical home.
 from repro.errors import SessionCapacityError
-from repro.ipv6.backends import AddressSetBackend, BackendSpec, make_backend
 from repro.ipv6.sets import AddressSet, BucketTable, unpack_rows
 
 #: Evidence may name states by code string ("J1") or by index (0).
@@ -101,9 +100,11 @@ class GenerationSession:
     steady-state rounds almost never rehash — but it is no longer
     *only* a sizing hint (the pre-PR-7 semantics): seeding, observing,
     or generating past the cap raises :class:`SessionCapacityError`
-    with no partial state mutation, so a serving layer can bound each
-    client's memory and surface a clean typed error instead of
-    unbounded growth.
+    with no partial state mutation (an overflowing observe is undone
+    with the table's one rollback,
+    :meth:`~repro.ipv6.sets.BucketTable.revert_insert`), so a serving
+    layer can bound each client's memory and surface a clean typed
+    error instead of unbounded growth.
 
     A session also owns the campaign's **worker pools**: parallel
     ``generate_set(..., state=session, workers=N)`` calls fetch a
@@ -122,7 +123,6 @@ class GenerationSession:
         width: int,
         exclude: Optional[ExcludeLike] = None,
         capacity: int = 0,
-        backend: BackendSpec = None,
     ):
         if width < 1:
             raise ValueError(f"width must be positive, got {width}")
@@ -131,15 +131,8 @@ class GenerationSession:
         excluded = exclude_packed_words(exclude, width)
         self._width = width
         self._capacity = int(capacity)
-        # ``backend`` picks the exclusion-set storage layout (see
-        # repro.ipv6.backends): None/"memory" is the flat BucketTable,
-        # "sharded64" the per-prefix sharded bank for 100M+-row
-        # campaigns.  All backends share exact insert/limit semantics,
-        # so the choice never changes which rows a session emits.
-        self._table = make_backend(
-            backend,
-            (width + 15) // 16,
-            capacity=max(self._capacity, len(excluded)),
+        self._table = BucketTable(
+            (width + 15) // 16, capacity=max(self._capacity, len(excluded))
         )
         self._table.insert_packed(excluded)
         self._excluded = len(self._table)
@@ -156,10 +149,9 @@ class GenerationSession:
         return self._width
 
     @property
-    def table(self) -> AddressSetBackend:
-        """The underlying combined exclusion+dedup store (a
-        :class:`~repro.ipv6.sets.BucketTable` by default; see
-        :mod:`repro.ipv6.backends` for the alternatives)."""
+    def table(self) -> BucketTable:
+        """The underlying combined exclusion+dedup
+        :class:`~repro.ipv6.sets.BucketTable`."""
         return self._table
 
     @property
@@ -228,8 +220,8 @@ class GenerationSession:
 
         The table's stored-rows matrix *is* the session (rehash and
         rollback already rebuild everything from it), so a snapshot is
-        that matrix plus the exclusion split and the cap — no backend
-        internals, no pool state (pools are lazily recreated).  Pair
+        that matrix plus the exclusion split and the cap — no slot
+        array, no pool state (pools are lazily recreated).  Pair
         with :meth:`restore`; persist via
         :func:`repro.checkpoint.save_checkpoint`.
         """
@@ -245,9 +237,7 @@ class GenerationSession:
         }
 
     @classmethod
-    def restore(
-        cls, snapshot: dict, backend: BackendSpec = None
-    ) -> "GenerationSession":
+    def restore(cls, snapshot: dict) -> "GenerationSession":
         """Rebuild a session from a :meth:`snapshot`.
 
         Re-inserting the stored rows rebuilds a table with exactly the
@@ -255,31 +245,50 @@ class GenerationSession:
         everything generation behavior depends on — so a restored
         session continues exactly where the snapshot left off: with
         the caller resuming the same RNG stream, subsequent draws are
-        bit-identical to an uninterrupted run.  The snapshot's
-        order-independent state digest is re-verified after the
-        rebuild; corruption fails with
-        :class:`~repro.errors.CheckpointError` instead of silently
-        serving rows the original session had already retired.
+        bit-identical to an uninterrupted run.  The rows may come in
+        any order: only their set is verified.
+
+        A snapshot is outside input, so it is checked before the table
+        is built — its words must be ``(n, ceil(width / 16))``, its
+        exclusion split within ``0..n`` and ``n`` within a nonzero
+        capacity — and its order-independent state digest is
+        re-verified after the rebuild.  A failed check raises
+        :class:`~repro.errors.CheckpointError` instead of restoring a
+        state no session can be in or silently serving rows the
+        original session had already retired.
         """
         from repro.errors import CheckpointError
 
-        session = cls(
-            int(snapshot["width"]),
-            capacity=int(snapshot["capacity"]),
-            backend=backend,
-        )
+        width = int(snapshot["width"])
+        capacity = int(snapshot["capacity"])
+        excluded = int(snapshot["excluded_rows"])
         words = np.ascontiguousarray(
             np.asarray(snapshot["words"], dtype=np.uint64)
         )
+        words_per_row = (width + 15) // 16
+        if words.ndim != 2 or words.shape[1] != words_per_row:
+            raise CheckpointError(
+                f"snapshot words have shape {words.shape}; width {width} "
+                f"needs (n, {words_per_row})"
+            )
+        if not 0 <= excluded <= len(words):
+            raise CheckpointError(
+                f"snapshot excludes {excluded} rows but holds {len(words)}"
+            )
+        if capacity and len(words) > capacity:
+            raise CheckpointError(
+                f"snapshot holds {len(words)} rows, over its capacity "
+                f"{capacity}"
+            )
+        session = cls(width, capacity=capacity)
         if len(words):
             session._table.reserve(len(words))
             session._table.insert_packed(words)
-        session._excluded = int(snapshot["excluded_rows"])
+        session._excluded = excluded
         expected = snapshot.get("digest")
         if expected is not None and session._table.state_digest() != expected:
             raise CheckpointError(
-                "restored session state digest mismatch (wrong storage "
-                "backend, or a corrupt snapshot)"
+                "restored session state digest mismatch (a corrupt snapshot)"
             )
         return session
 
@@ -288,25 +297,21 @@ class GenerationSession:
         of them were actually new to the session.
 
         On a capacity-capped session an over-cap batch raises
-        :class:`SessionCapacityError` and the insert is rolled back
-        exactly — the fresh count is only knowable after deduplication,
-        so the insert runs reversibly and commits only under the cap.
+        :class:`SessionCapacityError` and keeps none of its rows — the
+        fresh count is only knowable after deduplication, so the batch
+        goes in and, over the cap, the table is reverted to its
+        :meth:`~repro.ipv6.sets.BucketTable.mark` from before it.
         """
         words = exclude_packed_words(exclude, self._width)
-        if not self._capacity:
-            fresh = int(np.count_nonzero(self._table.insert_packed(words)))
-            self._excluded += fresh
-            return fresh
-        mask = self._table.insert_reversible(words)
-        if len(self._table) > self._capacity:
+        mark = self._table.mark()
+        fresh = int(np.count_nonzero(self._table.insert_packed(words)))
+        if self._capacity and len(self._table) > self._capacity:
             overflow = len(self._table) - self._capacity
-            self._table.revert_insert()
+            self._table.revert_insert(mark)
             raise SessionCapacityError(
                 f"observe batch would exceed session capacity "
                 f"{self._capacity} by {overflow} rows"
             )
-        self._table.commit_insert()
-        fresh = int(np.count_nonzero(mask))
         self._excluded += fresh
         return fresh
 
@@ -372,7 +377,7 @@ def run_generation_rounds(
     bit-identical to the legacy grow-and-repass ``exclude`` pattern.
     A call that raises (a shard fault, an interrupt) returns nothing,
     so it keeps nothing either: the session's table is rolled back to
-    its state at entry (:meth:`~repro.ipv6.sets.BucketTable.rollback_to`)
+    its state at entry (:meth:`~repro.ipv6.sets.BucketTable.revert_insert`)
     before the error propagates, and a retry from the same RNG state
     returns what an unfaulted call would have.
 
@@ -461,7 +466,7 @@ def run_generation_rounds(
                 break
     except BaseException:
         if state is not None:
-            seen.rollback_to(entry)
+            seen.revert_insert(entry)
         raise
     if not chunks_matrix:
         return AddressSet.empty(width)
@@ -614,7 +619,6 @@ class AddressModel:
         self,
         exclude: Optional[ExcludeLike] = None,
         capacity: int = 0,
-        backend: BackendSpec = None,
     ) -> GenerationSession:
         """Open a persistent :class:`GenerationSession` for this model's
         width, seeded with ``exclude``.
@@ -627,16 +631,10 @@ class AddressModel:
         session's total distinct rows (0 = uncapped) — exceeding it
         raises :class:`SessionCapacityError`; it also pre-sizes the
         table (e.g. to the campaign's probe budget) so steady-state
-        rounds almost never rehash.  ``backend`` picks the
-        exclusion-store layout
-        (``"memory"``/``"sharded64"``, see :mod:`repro.ipv6.backends`);
-        emitted rows are identical for every backend.
+        rounds almost never rehash.
         """
         return GenerationSession(
-            self.encoder.width,
-            exclude=exclude,
-            capacity=capacity,
-            backend=backend,
+            self.encoder.width, exclude=exclude, capacity=capacity
         )
 
     def generate_set(

@@ -290,8 +290,9 @@ class BucketTable:
     state), and the :attr:`rows_stored`/:attr:`rows_offered` snapshot
     counters.  Growth rehashes from the stored columns only — source
     matrices that were folded in are never re-read.  :meth:`mark` and
-    :meth:`rollback_to` put the table back to an earlier state across
-    any number of inserts (a session draw that raises keeps no rows).
+    :meth:`revert_insert` put the table back to an earlier state across
+    any number of inserts (a session draw that raises keeps no rows; a
+    capped session's observe that overflows keeps none of its batch).
 
     All operations are vectorized over batches; nothing on the probe
     path touches per-row Python.
@@ -308,10 +309,6 @@ class BucketTable:
         "_ids",
         "_count",
         "_offered",
-        "_undo_slots",
-        "_undo_grew",
-        "_undo_armed",
-        "_revert_mark",
     )
 
     #: Smallest slot-array size (keeps the empty table cheap while
@@ -343,18 +340,6 @@ class BucketTable:
         self._ids = np.empty(size // 2, dtype=np.int64)
         self._count = 0
         self._offered = 0
-        # Per-insert undo log (slot indices written, growth flag) —
-        # what makes :meth:`insert_reversible` able to roll a batch
-        # back exactly (capped observes, sharded backends).  Slot
-        # indices are only recorded while armed: an unarmed bulk
-        # insert — e.g. seeding a million-row membership index — must
-        # not pin its won-slot arrays for the table's lifetime.
-        self._undo_slots: List[np.ndarray] = []
-        self._undo_grew = False
-        self._undo_armed = False
-        # (count, offered) snapshot of the last insert_reversible call;
-        # None whenever no reversible batch is outstanding.
-        self._revert_mark = None
 
     def __len__(self) -> int:
         """Number of distinct rows stored."""
@@ -362,8 +347,8 @@ class BucketTable:
 
     @property
     def word_count(self) -> int:
-        """Packed words per stored row (the row-shape contract every
-        :class:`~repro.ipv6.backends.AddressSetBackend` exposes)."""
+        """Packed words per stored row: every batch inserted or
+        queried must be ``(m, word_count)``."""
         return self._word_count
 
     @property
@@ -384,10 +369,10 @@ class BucketTable:
     def stored_words(self) -> np.ndarray:
         """Read-only view of the distinct stored rows, insertion order.
 
-        The ``stored-words`` accessor of the storage-backend protocol:
-        a ``(rows_stored, word_count)`` packed-row matrix.  Rehash and
-        rollback both rebuild from these columns, never from any source
-        matrix, so the view is always the table's complete truth.
+        A ``(rows_stored, word_count)`` packed-row matrix.  Rehash and
+        :meth:`revert_insert` both rebuild from these columns, never
+        from any source matrix, so the view is always the table's
+        complete truth (and all a session snapshot needs to carry).
         """
         view = self._words[: self._count]
         view.setflags(write=False)
@@ -541,11 +526,6 @@ class BucketTable:
             if ids.shape != (m,):
                 raise ValueError("ids must be one per inserted row")
         self._offered += m
-        self._undo_slots = []
-        self._undo_grew = False
-        # Any outstanding reversible batch is superseded: reverting it
-        # after further inserts would corrupt the probe topology.
-        self._revert_mark = None
         if m == 0:
             return fresh
         mixed = _mix_words(words)
@@ -568,7 +548,6 @@ class BucketTable:
             if e_pos.size and self._ensure_slots(self._count + e_pos.size):
                 # The slot array was rebuilt: every computed probe is
                 # stale.  Restart the round from the home slots.
-                self._undo_grew = True
                 step = np.int64(self._size - 1)
                 claim = self._claim
                 probe = (mixed[pending] & self._mask).astype(np.int64)
@@ -587,10 +566,7 @@ class BucketTable:
                 storage = self._append(
                     words.take(win_rows, axis=0), mixed[win_rows], ids[win_rows]
                 )
-                won_slots = slots_e[winners]
-                self._slots[won_slots] = storage.astype(np.int32)
-                if self._undo_armed:
-                    self._undo_slots.append(won_slots)
+                self._slots[slots_e[winners]] = storage.astype(np.int32)
                 claim[slots_e] = -1
                 fresh[win_rows] = True
                 resolved[e_pos[winners]] = True
@@ -622,51 +598,6 @@ class BucketTable:
             pending = pending[keep]
             probe = probe[keep]
         return fresh
-
-    def insert_reversible(
-        self, words: np.ndarray, ids: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """:meth:`insert` whose whole batch can still be undone.
-
-        The rollback hook of the storage-backend protocol: the insert
-        runs with the undo log armed, and until the next mutating call
-        the batch can be removed *exactly* with :meth:`revert_insert`.
-        A sharded backend uses this per shard to implement a
-        cross-shard ``insert_packed(limit=...)``: every shard inserts
-        its slice reversibly, and only if the global fresh count
-        overshoots are the touched shards reverted and re-fed the
-        admitted prefix.
-        """
-        count_mark, offered_mark = self._count, self._offered
-        self._undo_armed = True
-        try:
-            fresh = self.insert(words, ids)
-        finally:
-            self._undo_armed = False
-        self._revert_mark = (count_mark, offered_mark)
-        return fresh
-
-    def revert_insert(self) -> None:
-        """Undo the outstanding :meth:`insert_reversible` batch exactly.
-
-        Raises ``RuntimeError`` when no reversible batch is outstanding
-        (never called, already reverted, or superseded by a later
-        mutating insert — reverting across later inserts would corrupt
-        the probe topology, so the mark is invalidated instead).
-        """
-        if self._revert_mark is None:
-            raise RuntimeError("no reversible insert batch outstanding")
-        count_mark, offered_mark = self._revert_mark
-        self._revert_mark = None
-        self._rollback(count_mark, offered_mark)
-
-    def commit_insert(self) -> None:
-        """Keep the outstanding reversible batch and drop its undo
-        state, so the won-slot arrays are not pinned for the table's
-        lifetime.  A no-op when nothing is outstanding."""
-        self._revert_mark = None
-        self._undo_slots = []
-        self._undo_grew = False
 
     def insert_packed(
         self,
@@ -758,54 +689,33 @@ class BucketTable:
 
     def mark(self) -> "tuple[int, int]":
         """The table's state as ``(rows stored, rows offered)``, for
-        :meth:`rollback_to`."""
+        :meth:`revert_insert`."""
         return self._count, self._offered
 
-    def rollback_to(self, mark: "tuple[int, int]") -> None:
+    def revert_insert(self, mark: "tuple[int, int]") -> None:
         """Put the table back to its state at :meth:`mark`, across any
         number of inserts since.
 
         Rows are only ever appended, so the rows stored at the mark are
         the first ``rows stored`` of the stored columns: the rows after
         them are dropped and the slot array is rebuilt from the rows
-        kept, as :meth:`_rollback` does after a growth.  ``len``,
-        :attr:`rows_offered` and :meth:`state_digest` then read as they
-        did at the mark.
+        kept (its size stays).  ``len``, :attr:`rows_offered` and
+        :meth:`state_digest` then read as they did at the mark, and
+        later inserts admit the rows and assign the ids they would have
+        without the reverted batches.
         """
         count_mark, offered_mark = mark
         if not 0 <= count_mark <= self._count:
             raise ValueError(
                 f"mark holds {count_mark} rows; the table stores {self._count}"
             )
-        self._revert_mark = None
         # An insert cut short may have left claims behind.
         self._claim.fill(-1)
-        self._rollback(count_mark, offered_mark, rebuild=True)
-
-    def _rollback(
-        self, count_mark: int, offered_mark: int, rebuild: bool = False
-    ) -> None:
-        """Undo the most recent :meth:`insert` call entirely.
-
-        Safe because older entries never probe *past* slots that were
-        still empty when they were placed: releasing every slot the
-        rolled-back batch claimed restores the exact pre-insert probe
-        topology.  If the batch grew (and therefore rehashed) the slot
-        array, or ``rebuild`` is set, the array is rebuilt from the
-        surviving stored rows instead — stored columns are never
-        re-read from any source matrix.
-        """
-        if rebuild or self._undo_grew:
-            self._slots.fill(-1)
-            if count_mark:
-                self._place_all(self._mixed[:count_mark])
-        else:
-            for written in self._undo_slots:
-                self._slots[written] = -1
+        self._slots.fill(-1)
+        if count_mark:
+            self._place_all(self._mixed[:count_mark])
         self._count = count_mark
         self._offered = offered_mark
-        self._undo_slots = []
-        self._undo_grew = False
 
     def lookup(self, words: np.ndarray) -> np.ndarray:
         """External id of each queried row, or -1 when absent.

@@ -95,7 +95,6 @@ class ScanCampaign:
         adaptive: bool = False,
         seed: int = 0,
         workers: "int | None" = None,
-        backend=None,
     ):
         if probe_budget < 1 or round_size < 1:
             raise ValueError("budget and round size must be positive")
@@ -114,11 +113,6 @@ class ScanCampaign:
         # batches of at most 40k rows and score 10k, so they run inline
         # at any N.
         self._workers = workers
-        # backend= picks the session's exclusion-store layout (see
-        # repro.ipv6.backends): "memory" (default) or "sharded64" for
-        # campaigns whose probed universe outgrows one flat table.
-        # Emitted candidates are identical for every backend.
-        self._backend = backend
 
     def run(self) -> CampaignResult:
         """Probe until the budget is exhausted; return the full record.
@@ -142,7 +136,6 @@ class ScanCampaign:
         session = SessionSpec(
             exclude=train,
             capacity=len(train) + self._budget,
-            backend=self._backend,
             workers=self._workers,
         ).open(analysis.model)
         train_64s = train.prefixes64()
@@ -307,7 +300,6 @@ def run_campaign(
     adaptive: bool = False,
     seed: int = 0,
     workers: "int | None" = None,
-    backend=None,
 ) -> CampaignResult:
     """Functional one-shot interface to :class:`ScanCampaign`."""
     return ScanCampaign(
@@ -318,5 +310,4 @@ def run_campaign(
         adaptive=adaptive,
         seed=seed,
         workers=workers,
-        backend=backend,
     ).run()

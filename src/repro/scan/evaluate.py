@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.pipeline import EntropyIP
 from repro.datasets.networks import SyntheticNetwork
 from repro.exec.pool import resolve_workers
-from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet, split_train_test
 from repro.scan.responder import SimulatedResponder
 from repro.serve.lifecycle import SessionSpec
@@ -99,7 +98,6 @@ def scan_experiment(
     dataset_size: Optional[int] = None,
     seed: int = 0,
     workers: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> ScanResult:
     """Run the full §5.5 scanning experiment against one network.
 
@@ -109,9 +107,7 @@ def scan_experiment(
 
     ``workers`` runs generation and oracle scoring across a worker
     pool (see :mod:`repro.exec`); results are bit-identical for any
-    worker count, including the serial default.  ``backend`` picks the
-    exclusion-store layout (``"memory"``/``"sharded64"``) — output is
-    identical for every backend.
+    worker count, including the serial default.
     """
     resolve_workers(workers)  # workers=0 fails before the population builds
     population = network.population(seed)
@@ -138,7 +134,6 @@ def scan_experiment(
     session = SessionSpec(
         exclude=train,
         capacity=n_candidates + len(train),
-        backend=backend,
         workers=workers,
     ).open(analysis.model)
     try:
@@ -196,7 +191,6 @@ def prefix_prediction_experiment(
     day_fraction: float = 0.45,
     seed: int = 0,
     workers: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> PrefixPredictionResult:
     """Run the §5.6 client /64 prediction experiment.
 
@@ -207,9 +201,9 @@ def prefix_prediction_experiment(
     pure uint64 array membership (the /64 identifier of a width-16 row
     is the row itself).
 
-    ``workers``/``backend`` have the same spelling and semantics as
-    every other session-opening entry point (results are bit-identical
-    for any worker count and for every backend).
+    ``workers`` has the same spelling and semantics as every other
+    session-opening entry point (results are bit-identical for any
+    worker count).
     """
     population = network.population(seed)
     week_prefixes = population.prefixes64()  # sorted distinct uint64
@@ -227,9 +221,7 @@ def prefix_prediction_experiment(
     # (session-backed generation is bit-identical to the bare
     # exclude= call); uncapped because prefix-mode support is often
     # smaller than the ask and saturates early.
-    session = SessionSpec(
-        exclude=train, backend=backend, workers=workers
-    ).open(analysis.model)
+    session = SessionSpec(exclude=train, workers=workers).open(analysis.model)
     try:
         candidates = analysis.model.generate_set(
             n_candidates, rng, state=session, workers=workers
@@ -257,14 +249,13 @@ def training_size_sweep(
     prefix_mode: bool = False,
     seed: int = 0,
     workers: Optional[int] = None,
-    backend: BackendSpec = None,
 ) -> Dict[int, float]:
     """Success rate vs training size (Table 5).
 
     Returns train_size → success rate.  Sizes larger than the available
-    dataset are skipped.  ``workers``/``backend`` forward to the
-    underlying experiments with the unified spelling (results are
-    bit-identical either way).
+    dataset are skipped.  ``workers`` forwards to the underlying
+    experiments with the unified spelling (results are bit-identical
+    for any worker count).
     """
     results: Dict[int, float] = {}
     for train_size in train_sizes:
@@ -282,7 +273,6 @@ def training_size_sweep(
                 n_candidates=n_candidates,
                 seed=seed,
                 workers=workers,
-                backend=backend,
             )
             results[train_size] = result.success_rate_week
         else:
@@ -292,7 +282,6 @@ def training_size_sweep(
                 n_candidates=n_candidates,
                 seed=seed,
                 workers=workers,
-                backend=backend,
             )
             results[train_size] = scan.success_rate
     return results

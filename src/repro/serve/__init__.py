@@ -7,9 +7,9 @@ Three layers over the core library, each usable alone:
   by name + content digest, LRU/TTL bounded.
 - :mod:`repro.serve.lifecycle` — :class:`SessionManager`: warm
   :class:`~repro.core.model.GenerationSession` streams per
-  (model, client), with backend selection, capacity caps, idle
-  eviction, and explicit close/rollover.  :class:`SessionSpec` is the
-  canonical session-opening recipe shared by every entry point.
+  (model, client), with capacity caps, idle eviction, and explicit
+  close/rollover.  :class:`SessionSpec` is the canonical
+  session-opening recipe shared by every entry point.
 - :mod:`repro.serve.service` — :class:`HitlistService`: the
   thread-safe concurrent facade with bounded-queue backpressure and
   per-request latency accounting.

@@ -10,16 +10,16 @@ plus one ``generate_set`` call on warm state.
 
 The determinism contract of every prior subsystem carries through
 unchanged: a managed stream is **bit-identical** to the direct library
-path — ``model.session(exclude=…, backend=…)`` plus a
+path — ``model.session(exclude=…)`` plus a
 ``numpy.random.default_rng(seed)`` fed through the same sequence of
 ``generate_set(n, rng, state=session, workers=…)`` calls — for the
-same ``(seed, workers, backend)``.  The manager adds only bookkeeping
+same ``(seed, workers)``.  The manager adds only bookkeeping
 (locking, idle eviction, capacity caps), never a different code path.
 
 :class:`SessionSpec` is the one canonical recipe for opening a session
 — the CLI, ``scan/evaluate.py``, ``scan/campaign.py`` and the manager
-all construct sessions through it, so backend selection and capacity
-semantics cannot drift between entry points.
+all construct sessions through it, so capacity and worker semantics
+cannot drift between entry points.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.errors import (
     UnknownSessionError,
 )
 from repro.exec.pool import resolve_workers
-from repro.ipv6.backends import BackendSpec
 from repro.ipv6.sets import AddressSet
 from repro.serve.registry import ModelEntry, ModelRegistry
 
@@ -56,8 +55,9 @@ class SessionSpec:
 
     Every entry point — the service runtime, the CLI subcommands,
     ``scan_experiment`` and ``ScanCampaign`` — opens sessions through
-    :meth:`open`, so the ``backend``/``capacity`` semantics live in
-    exactly one place.
+    :meth:`open`, so the ``capacity``/``workers`` semantics live in
+    exactly one place.  Every session stores its rows in one
+    :class:`~repro.ipv6.sets.BucketTable`; there is no store to choose.
 
     ``capacity`` is the *enforceable* cap of
     :class:`~repro.core.model.GenerationSession` (0 = uncapped):
@@ -70,7 +70,6 @@ class SessionSpec:
 
     exclude: Optional[ExcludeLike] = None
     capacity: int = 0
-    backend: BackendSpec = None
     workers: Optional[int] = None
 
     def __post_init__(self):
@@ -80,11 +79,7 @@ class SessionSpec:
 
     def open(self, model: AddressModel) -> GenerationSession:
         """Open a fresh session on ``model`` per this recipe."""
-        return model.session(
-            exclude=self.exclude,
-            capacity=self.capacity,
-            backend=self.backend,
-        )
+        return model.session(exclude=self.exclude, capacity=self.capacity)
 
 
 class ManagedSession:
@@ -223,7 +218,6 @@ class ManagedSession:
                 "model_digest": self.entry.digest,
                 "spec": {
                     "capacity": self.spec.capacity,
-                    "backend": self.spec.backend,
                     "workers": self.spec.workers,
                 },
                 "rng_state": self.rng.bit_generator.state,
@@ -247,9 +241,10 @@ class ManagedSession:
         — the whole point of a checkpoint.  The restored stream's RNG
         resumes at the exact saved position, so its subsequent draws
         are bit-identical to the uninterrupted run's.  Spec keys beyond
-        the three read here (older snapshots also name the executor
-        their shards ran on) are ignored: shards always run on threads,
-        and where they ran never changed the stream.
+        the two read here (older snapshots also name the store their
+        rows were kept in and the executor their shards ran on) are
+        ignored: there is one store and one executor, and neither ever
+        changed the stream.
         """
         if entry.digest != payload["model_digest"]:
             raise CheckpointError(
@@ -261,7 +256,6 @@ class ManagedSession:
         spec = SessionSpec(
             exclude=None,
             capacity=int(spec_data["capacity"]),
-            backend=spec_data["backend"],
             workers=spec_data["workers"],
         )
         managed = cls(
@@ -274,9 +268,7 @@ class ManagedSession:
         # Swap the freshly opened (empty) session for the restored one
         # and rewind the RNG to the saved stream position.
         managed.session.close()
-        managed.session = GenerationSession.restore(
-            payload["session"], backend=spec.backend
-        )
+        managed.session = GenerationSession.restore(payload["session"])
         managed.rng.bit_generator.state = payload["rng_state"]
         managed.requests = int(payload["requests"])
         managed.rows_served = int(payload["rows_served"])
@@ -302,9 +294,7 @@ class SessionManager:
 
     ``capacity`` caps live sessions; over it, the least-recently-used
     session is closed and dropped.  ``ttl`` closes sessions idle longer
-    than the given seconds.  ``default_backend`` applies when a spec
-    does not choose one, so a deployment can flip its whole session
-    pool to ``"sharded64"`` in one place.
+    than the given seconds.
     """
 
     def __init__(
@@ -312,7 +302,6 @@ class SessionManager:
         registry: ModelRegistry,
         capacity: int = 64,
         ttl: Optional[float] = None,
-        default_backend: BackendSpec = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if capacity < 1:
@@ -322,7 +311,6 @@ class SessionManager:
         self.registry = registry
         self._capacity = capacity
         self._ttl = ttl
-        self._default_backend = default_backend
         self._clock = clock
         self._lock = threading.RLock()
         self._sessions: "OrderedDict[Tuple[str, str], ManagedSession]" = (
@@ -343,7 +331,6 @@ class SessionManager:
         exclude: Optional[ExcludeLike] = None,
         exclude_training: bool = False,
         capacity: int = 0,
-        backend: BackendSpec = None,
         workers: Optional[int] = None,
     ) -> ManagedSession:
         """Get-or-create the warm session for ``(model_name, client)``.
@@ -372,12 +359,7 @@ class SessionManager:
                     )
                 exclude = entry.analysis.address_set
             spec = SessionSpec(
-                exclude=exclude,
-                capacity=capacity,
-                backend=(
-                    backend if backend is not None else self._default_backend
-                ),
-                workers=workers,
+                exclude=exclude, capacity=capacity, workers=workers
             )
             session = ManagedSession(
                 key, entry, spec, seed=seed, clock=self._clock

@@ -383,14 +383,13 @@ class TestSessionCapacity:
         # An under-cap batch still lands normally afterwards.
         assert session.observe(donor.take(np.arange(50))) == 50
 
-    @pytest.mark.parametrize("backend", ["memory", "sharded64"])
-    def test_observe_rollback_on_both_backends(self, fitted, backend):
+    def test_observe_over_cap_into_empty_session(self, fitted):
         from repro.core.model import SessionCapacityError
 
         donor = fitted.generate_set(
             30, np.random.default_rng(45), state=fitted.session()
         )
-        session = fitted.session(capacity=20, backend=backend)
+        session = fitted.session(capacity=20)
         with pytest.raises(SessionCapacityError):
             session.observe(donor)
         assert len(session) == 0

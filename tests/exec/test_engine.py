@@ -255,15 +255,14 @@ class TestShardFault:
             assert pool.closed is not threaded
             assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
-    @pytest.mark.parametrize("backend", ["memory", "sharded64"])
-    def test_faulted_session_draw_keeps_no_rows(self, r1_model, backend):
+    def test_faulted_session_draw_keeps_no_rows(self, r1_model):
         # The second batch's first shard raises after the first batch's
         # rows went into the session.  The call returns no rows, so the
         # session keeps none, and a retry from the same RNG state
         # returns the rows of an unfaulted call.
         model, train = r1_model
         n = 50_000
-        with model.session(exclude=train, backend=backend) as session:
+        with model.session(exclude=train) as session:
             table = session.table
             before = (len(session), table.rows_offered, table.state_digest())
             rng = np.random.default_rng(11)
@@ -277,7 +276,7 @@ class TestShardFault:
             assert after == before
             rng.bit_generator.state = saved
             retried = model.generate_set(n, rng, state=session, workers=2)
-        with model.session(exclude=train, backend=backend) as clean:
+        with model.session(exclude=train) as clean:
             expected = model.generate_set(
                 n, np.random.default_rng(11), state=clean, workers=2
             )

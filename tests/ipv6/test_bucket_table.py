@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.ipv6.sets as sets_module
+from repro.ipv6.backends import make_backend
 from repro.ipv6.sets import AddressSet, BucketTable, pack_rows
 
 
@@ -212,24 +213,27 @@ class TestPersistentSession:
 
     def test_many_batches_against_python_set_oracle(self):
         # A long campaign: 40 batches with heavy cross-batch repeats,
-        # growth boundaries crossed mid-stream.  Fresh masks must match
-        # a first-occurrence Python-set oracle at every step.
+        # growth boundaries crossed mid-stream, for rows of 1 to 3
+        # words.  Fresh masks must match a first-occurrence Python-set
+        # oracle at every step, and the stored rows its set at the end.
         rng = np.random.default_rng(21)
-        pool = _random_words(rng, 1500)
-        table = BucketTable(2)  # minimum slot count: forces growth
-        seen = set()
-        sizes = set()
-        for _ in range(40):
-            take = rng.integers(0, len(pool), size=97)
-            batch = pool[take]
-            fresh = table.insert_packed(batch)
-            for i, row in enumerate(map(tuple, batch.tolist())):
-                assert fresh[i] == (row not in seen), row
-                seen.add(row)
-            sizes.add(table.slot_count)
-        assert len(table) == len(seen)
-        assert len(sizes) > 2  # growth actually happened mid-campaign
-        assert table.rows_offered == 40 * 97
+        for word_count in (1, 2, 3):
+            pool = _random_words(rng, 1500, k=word_count)
+            table = BucketTable(word_count)  # minimum slot count
+            seen = set()
+            sizes = set()
+            for _ in range(40):
+                take = rng.integers(0, len(pool), size=97)
+                batch = pool[take]
+                fresh = table.insert_packed(batch)
+                for i, row in enumerate(map(tuple, batch.tolist())):
+                    assert fresh[i] == (row not in seen), row
+                    seen.add(row)
+                sizes.add(table.slot_count)
+            assert len(table) == len(seen)
+            assert set(map(tuple, table.stored_words().tolist())) == seen
+            assert len(sizes) > 2  # growth actually happened mid-campaign
+            assert table.rows_offered == 40 * 97
 
     def test_fold_collision_rows_across_batches(self, monkeypatch):
         # Distinct rows whose (weakened) folds collide, spread across
@@ -479,6 +483,68 @@ class TestLimitedInsertOracle:
             assert np.array_equal(
                 table.insert_packed(pool), reference.insert_packed(pool)
             )
+
+
+class TestRevertInsert:
+    """``revert_insert(mark)``, the table's one rollback: after it the
+    table reads and behaves as one that never saw the reverted rows."""
+
+    @pytest.mark.parametrize("fold", sorted(_FOLDS))
+    def test_revert_matches_a_table_that_never_saw_the_rows(
+        self, monkeypatch, fold
+    ):
+        if _FOLDS[fold] is not None:
+            monkeypatch.setattr(sets_module, "_mix_words", _FOLDS[fold])
+        rng = np.random.default_rng(26)
+        base = _random_words(rng, 40)
+        later = _random_words(rng, 600)
+        table = BucketTable(2)  # minimum slot count
+        reference = BucketTable(2)
+        table.insert_packed(base)
+        reference.insert_packed(base)
+        mark = table.mark()
+        slots_at_mark = table.slot_count
+        # Several inserts, a limited one among them, and a slot-array
+        # growth, all reverted at once.
+        table.insert(later[:30])
+        table.insert_packed(np.vstack([later[20:60], base[:5]]), limit=12)
+        table.insert_packed(later[60:])
+        assert table.slot_count > slots_at_mark
+        table.revert_insert(mark)
+        assert len(table) == len(reference)
+        assert table.rows_offered == reference.rows_offered
+        assert table.state_digest() == reference.state_digest()
+        # The next insert admits the same rows under the same ids.
+        batch = np.vstack([later[::3], base[::4], later[::3]])
+        assert np.array_equal(table.insert(batch), reference.insert(batch))
+        probe = np.vstack([base, later])
+        assert np.array_equal(table.lookup(probe), reference.lookup(probe))
+
+    def test_mark_with_more_rows_than_stored_raises(self):
+        rng = np.random.default_rng(27)
+        table = BucketTable(1)
+        start = table.mark()
+        table.insert(_random_words(rng, 50, k=1))
+        later = table.mark()
+        table.revert_insert(start)
+        with pytest.raises(ValueError, match="mark holds 50 rows"):
+            table.revert_insert(later)
+
+
+class TestMakeBackend:
+    @pytest.mark.parametrize("spec", [None, "memory"])
+    def test_builds_a_presized_bucket_table(self, spec):
+        table = make_backend(spec, 2, capacity=10_000)
+        assert isinstance(table, BucketTable)
+        assert table.word_count == 2
+        slots = table.slot_count
+        table.insert(_random_words(np.random.default_rng(28), 5000))
+        assert table.slot_count == slots
+
+    @pytest.mark.parametrize("spec", ["sharded64", "mmap"])
+    def test_other_names_raise_naming_the_removal(self, spec):
+        with pytest.raises(ValueError, match="'sharded64' store was removed"):
+            make_backend(spec, 2)
 
 
 class TestAgainstReferences:

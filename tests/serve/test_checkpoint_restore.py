@@ -49,9 +49,10 @@ class TestGenerationSessionSnapshot:
             restored.close()
         assert np.array_equal(after, resumed)
 
-    def test_restore_across_storage_backends(self, analysis):
-        """The snapshot is backend-neutral: state taken on the memory
-        backend restores onto sharded64 and continues identically."""
+    def test_restore_accepts_rows_in_any_order(self, analysis):
+        """Older stores wrote a snapshot's rows in another order (a
+        sharded store grouped them by shard); the rows restore with
+        their own digest and the stream continues identically."""
         model = analysis.model
         with model.session(exclude=analysis.address_set) as session:
             rng = np.random.default_rng(3)
@@ -60,7 +61,10 @@ class TestGenerationSessionSnapshot:
             rng_state = rng.bit_generator.state
             after = model.generate_set(100, rng, state=session).matrix
 
-        restored = GenerationSession.restore(snap, backend="sharded64")
+        order = np.random.default_rng(4).permutation(len(snap["words"]))
+        snap["words"] = snap["words"][order]
+        restored = GenerationSession.restore(snap)
+        assert restored.table.state_digest() == snap["digest"]
         try:
             rng2 = np.random.default_rng(0)
             rng2.bit_generator.state = rng_state
@@ -77,6 +81,27 @@ class TestGenerationSessionSnapshot:
         snap["words"] = snap["words"].copy()
         snap["words"][0, 0] ^= np.uint64(1)
         with pytest.raises(CheckpointError, match="digest mismatch"):
+            GenerationSession.restore(snap)
+
+    @pytest.mark.parametrize("field,value", [
+        ("capacity", 3),
+        ("excluded_rows", 50),
+        ("excluded_rows", -1),
+        ("width", 16),
+    ])
+    def test_restore_rejects_states_no_session_can_be_in(
+        self, analysis, field, value
+    ):
+        """A snapshot is outside input: 10 rows over a capacity of 3,
+        an exclusion split outside 0..10, or 2-word rows under a
+        1-word width fail with a typed error before any row is
+        restored."""
+        rows = analysis.address_set.unique().take(np.arange(10))
+        with analysis.model.session(exclude=rows) as session:
+            snap = session.snapshot()
+        assert len(snap["words"]) == snap["excluded_rows"] == 10
+        snap[field] = value
+        with pytest.raises(CheckpointError, match="snapshot"):
             GenerationSession.restore(snap)
 
 
@@ -112,7 +137,7 @@ class TestManagedSessionSnapshot:
                                workers=2)
         session.generate(120)
         payload = session.snapshot()
-        assert set(payload["spec"]) == {"capacity", "backend", "workers"}
+        assert set(payload["spec"]) == {"capacity", "workers"}
         after = session.generate(200).matrix
 
         payload["spec"]["exec_backend"] = "process"
@@ -122,6 +147,26 @@ class TestManagedSessionSnapshot:
         loaded = load_checkpoint(path, kind="sessions")["sessions"][0]
         restored = fresh.restore_session(loaded)
         assert restored.spec.workers == 2
+        assert np.array_equal(after, restored.generate(200).matrix)
+        manager.close_all()
+        fresh.close_all()
+
+    def test_old_store_key_is_ignored_on_restore(self, registry, tmp_path):
+        """Checkpoints written while a sharded store existed name it in
+        their spec; they still restore, onto the one store, and the
+        stream resumes bit-identically."""
+        manager = SessionManager(registry)
+        session = manager.open("m", "alice", seed=5, exclude_training=True)
+        session.generate(120)
+        payload = session.snapshot()
+        after = session.generate(200).matrix
+
+        payload["spec"]["backend"] = "sharded64"
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(path, "sessions", {"sessions": [payload]})
+        fresh = SessionManager(registry)
+        loaded = load_checkpoint(path, kind="sessions")["sessions"][0]
+        restored = fresh.restore_session(loaded)
         assert np.array_equal(after, restored.generate(200).matrix)
         manager.close_all()
         fresh.close_all()

@@ -4,7 +4,7 @@ The load-bearing assertion of the serving runtime: candidate streams
 served through the concurrent facade — under interleaved requests from
 many client threads — are **bit-identical** to the serial direct
 `AddressModel.session()` + `generate_set` sequence for the same (seed,
-workers, backend).
+workers).
 """
 
 import threading
@@ -36,10 +36,9 @@ def service(analysis):
         yield svc
 
 
-def direct_stream(analysis, exclude, seed, batches, n, workers=None,
-                  backend=None):
+def direct_stream(analysis, exclude, seed, batches, n, workers=None):
     """The serial direct-library reference sequence for one client."""
-    session = analysis.model.session(exclude=exclude, backend=backend)
+    session = analysis.model.session(exclude=exclude)
     rng = np.random.default_rng(seed)
     return [
         analysis.model.generate_set(
@@ -54,17 +53,13 @@ class TestThreadedBitIdentity:
     BATCH_ROWS = 120
 
     @pytest.mark.usefixtures("threaded_shards")
-    @pytest.mark.parametrize(
-        "backend,workers",
-        [(None, None), ("sharded64", None), (None, 2)],
-        ids=["memory-serial", "sharded64-serial", "memory-workers2"],
-    )
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "workers2"])
     def test_interleaved_streams_match_serial_direct_sequence(
-        self, service, analysis, structured_set, backend, workers
+        self, service, analysis, structured_set, workers
     ):
         """Six clients hammer the facade from six threads; every
         client's concatenated stream must equal the serial
-        direct-library sequence for its (seed, workers, backend)."""
+        direct-library sequence for its (seed, workers)."""
         clients = [f"c{i}" for i in range(6)]
         served = {}
         errors = []
@@ -81,7 +76,6 @@ class TestThreadedBitIdentity:
                             client,
                             self.BATCH_ROWS,
                             seed=index,
-                            backend=backend,
                             workers=workers,
                         ).matrix
                     )
@@ -107,10 +101,9 @@ class TestThreadedBitIdentity:
                 batches=self.BATCHES,
                 n=self.BATCH_ROWS,
                 workers=workers,
-                backend=backend,
             )
             for got, want in zip(served[client], reference):
-                assert np.array_equal(got, want), (client, backend, workers)
+                assert np.array_equal(got, want), (client, workers)
 
     def test_same_seed_clients_get_identical_streams(self, service):
         a = service.generate("m", "twin-a", 300, seed=42)

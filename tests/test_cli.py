@@ -49,6 +49,16 @@ class TestParser:
         args = build_parser().parse_args(["analyze", "f.txt", "--width", "16"])
         assert args.file == "f.txt" and args.width == 16
 
+    def test_backend_flag_rejected(self, capsys):
+        # There is one exclusion store, so no subcommand takes --backend.
+        for argv in (["generate", "f.txt"], ["scan", "R5"],
+                     ["serve", "f.txt"], ["ingest", "S1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--backend", "memory"])
+            assert "unrecognized arguments: --backend" in (
+                capsys.readouterr().err
+            )
+
 
 class TestCommands:
     def test_analyze(self, address_file, capsys):
@@ -96,16 +106,6 @@ class TestCommands:
         assert main(["analyze", "-"]) == 0
         assert "H_S=" in capsys.readouterr().out
 
-    def test_generate_backend_flag_output_identical(
-        self, address_file, capsys
-    ):
-        main(["generate", address_file, "--count", "15", "--seed", "4"])
-        default = capsys.readouterr().out
-        main(["generate", address_file, "--count", "15", "--seed", "4",
-              "--backend", "sharded64"])
-        sharded = capsys.readouterr().out
-        assert default == sharded
-
     def test_generate_matches_direct_library_path(
         self, address_file, capsys
     ):
@@ -126,20 +126,6 @@ class TestCommands:
         ]
         assert served == direct
 
-    def test_generate_rejects_unknown_backend(self, address_file):
-        with pytest.raises(SystemExit):
-            main(["generate", address_file, "--backend", "mmap"])
-
-    def test_scan_backend_flag(self, capsys):
-        assert main([
-            "scan", "R5", "--train", "200", "--count", "500",
-        ]) == 0
-        default = capsys.readouterr().out
-        assert main([
-            "scan", "R5", "--train", "200", "--count", "500",
-            "--backend", "sharded64",
-        ]) == 0
-        assert capsys.readouterr().out == default
 
 
 class TestServeCommand:
