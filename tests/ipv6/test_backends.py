@@ -1,29 +1,20 @@
-"""Tests for the pluggable AddressSet storage backends.
+"""The exclusion store that :func:`~repro.ipv6.backends.make_backend`
+builds, against a first-occurrence Python-set oracle.
 
-The sharded backend's contract is *exact* equivalence with the flat
-:class:`~repro.ipv6.sets.BucketTable` (and hence with a Python-set
-first-occurrence oracle): same fresh masks, same stored rows, same
-stream ids, same ``insert_packed(limit=...)`` admissions — whatever
-the batch sizes, the shard routing, or the fold collisions.  These
-tests pin that across mixed batch schedules, same-shard/cross-shard
-collision batches, per-shard rollback exactness, and end-to-end
-through :class:`~repro.core.model.GenerationSession`.
+Over mixed batch schedules (empty, single-row, large) the store must
+report the oracle's fresh masks, keep exactly the oracle's rows, count
+every offered row, and answer lookups with stream positions.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ipv6.backends import (
-    ShardedBucketTable,
-    make_backend,
-)
-from repro.ipv6.sets import BucketTable
+from repro.ipv6.backends import make_backend
 
 
 def rows_from_values(values, word_count=2):
-    """Two-word packed rows whose identity is the scalar value: word 0
-    mimics a /64 prefix (clustered), word 1 the IID."""
+    """Packed rows whose identity is the scalar value: word 0 mimics a
+    /64 prefix (clustered), the other words the IID."""
     values = np.asarray(values, dtype=np.uint64)
     words = np.empty((len(values), word_count), dtype=np.uint64)
     words[:, 0] = np.uint64(0x20010DB8 << 32) + (values >> np.uint64(3))
@@ -37,9 +28,6 @@ def stored_row_set(table):
 
 
 class TestPythonSetOracle:
-    """Both backends vs a first-occurrence Python-set oracle, over a
-    mixed schedule of batch sizes (empty, single-row, large)."""
-
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
@@ -50,25 +38,20 @@ class TestPythonSetOracle:
         st.integers(1, 3),
     )
     def test_fresh_masks_match_oracle(self, batches, word_count):
-        flat = BucketTable(word_count)
-        sharded = ShardedBucketTable(word_count, shards=8)
+        table = make_backend("memory", word_count)
         seen = set()
         offered = 0
         for batch in batches:
             words = rows_from_values(batch, word_count)
             expected = []
-            for value in batch:
-                key = tuple(map(int, words[len(expected)]))
-                expected.append(key not in seen)
-                seen.add(key)
-            flat_fresh = flat.insert(words)
-            sharded_fresh = sharded.insert(words)
-            assert flat_fresh.tolist() == expected
-            assert sharded_fresh.tolist() == expected
+            for row in map(tuple, words.tolist()):
+                expected.append(row not in seen)
+                seen.add(row)
+            assert table.insert(words).tolist() == expected
             offered += len(batch)
-        assert len(flat) == len(sharded) == len(seen)
-        assert flat.rows_offered == sharded.rows_offered == offered
-        assert stored_row_set(flat) == stored_row_set(sharded) == seen
+        assert len(table) == len(seen)
+        assert table.rows_offered == offered
+        assert stored_row_set(table) == seen
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -76,203 +59,10 @@ class TestPythonSetOracle:
         st.lists(st.integers(0, 160), min_size=1, max_size=40),
     )
     def test_lookup_ids_are_stream_positions(self, stream, probes):
-        flat = BucketTable(2)
-        sharded = ShardedBucketTable(2, shards=4)
-        words = rows_from_values(stream)
-        flat.insert(words)
-        sharded.insert(words)
+        table = make_backend("memory", 2)
+        table.insert(rows_from_values(stream))
         first_seen = {}
         for position, value in enumerate(stream):
             first_seen.setdefault(int(value), position)
-        probe_words = rows_from_values(probes)
         expected = [first_seen.get(int(v), -1) for v in probes]
-        assert flat.lookup(probe_words).tolist() == expected
-        assert sharded.lookup(probe_words).tolist() == expected
-        assert sharded.contains(probe_words).tolist() == [
-            e >= 0 for e in expected
-        ]
-
-
-class TestShardRouting:
-    def test_equal_rows_share_a_shard(self):
-        table = ShardedBucketTable(2, shards=16)
-        words = rows_from_values(np.arange(2000) % 64)
-        shards = table.shard_index(words)
-        # Row identity is the value; equal values must route together.
-        values = words[:, 1]
-        for value in np.unique(values):
-            assert len(np.unique(shards[values == value])) == 1
-
-    def test_cross_shard_fold_collisions_stay_exact(self):
-        """Rows engineered to collide in the same shard — and rows
-        spread across every shard — dedup and look up exactly."""
-        table = ShardedBucketTable(2, shards=8)
-        words = rows_from_values(np.arange(4096))
-        shards = table.shard_index(words)
-        # A same-shard batch (maximal intra-shard collision pressure)
-        # interleaved with rows from every other shard.
-        target = int(np.bincount(shards, minlength=8).argmax())
-        same = words[shards == target]
-        other = words[shards != target]
-        batch = np.vstack([same, other, same])  # second half: all dups
-        fresh = table.insert(batch)
-        assert fresh[: len(same)].all()
-        assert fresh[len(same): len(same) + len(other)].all()
-        assert not fresh[len(same) + len(other):].any()
-        assert len(table) == len(words)
-        assert table.contains(words).all()
-        assert table.max_shard_rows == int(np.bincount(shards).max())
-
-    def test_single_shard_degenerates_to_flat(self):
-        flat = BucketTable(1)
-        table = ShardedBucketTable(1, shards=1)
-        words = rows_from_values(np.arange(100) % 37, word_count=1)
-        assert np.array_equal(flat.insert(words), table.insert(words))
-        assert stored_row_set(flat) == stored_row_set(table)
-
-    def test_rejects_bad_shard_counts(self):
-        for shards in (0, 3, 6, -2, 1 << 17):
-            with pytest.raises(ValueError):
-                ShardedBucketTable(1, shards=shards)
-
-
-class TestLimitRollback:
-    """``insert_packed(limit=)``: cross-shard exactness of the admit
-    prefix and of the per-shard rollback."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.integers(0, 60), min_size=1, max_size=80),
-        st.integers(0, 20),
-        st.integers(0, 40),
-    )
-    def test_limited_insert_matches_flat_table(self, batch, limit, preload):
-        flat = BucketTable(2)
-        sharded = ShardedBucketTable(2, shards=8)
-        pre = rows_from_values(np.arange(preload) * 3)
-        flat.insert(pre)
-        sharded.insert(pre)
-        words = rows_from_values(batch)
-        flat_mask = flat.insert_packed(words, limit=limit)
-        sharded_mask = sharded.insert_packed(words, limit=limit)
-        assert np.array_equal(flat_mask, sharded_mask)
-        assert int(flat_mask.sum()) <= limit
-        assert len(flat) == len(sharded)
-        assert flat.rows_offered == sharded.rows_offered
-        assert stored_row_set(flat) == stored_row_set(sharded)
-        # Admitted rows carry their true stream positions.
-        assert np.array_equal(
-            flat.lookup(words), sharded.lookup(words)
-        )
-
-    def test_rollback_restores_every_touched_shard(self):
-        table = ShardedBucketTable(2, shards=8)
-        baseline = rows_from_values(np.arange(0, 400, 2))
-        table.insert(baseline)
-        before_rows = stored_row_set(table)
-        before_offered = table.rows_offered
-        per_shard_before = [len(s) for s in table._shards]
-        # A batch that is all fresh and lands in many shards, capped to
-        # admit only a prefix — the overshoot must vanish everywhere.
-        batch = rows_from_values(np.arange(1000, 1200))
-        mask = table.insert_packed(batch, limit=7)
-        assert int(mask.sum()) == 7
-        assert mask[:7].all() and not mask[7:].any()
-        assert stored_row_set(table) == before_rows | {
-            tuple(map(int, row)) for row in batch[:7]
-        }
-        assert table.rows_offered == before_offered + len(batch)
-        admitted_shards = table.shard_index(batch[:7])
-        for index, shard in enumerate(table._shards):
-            expected = per_shard_before[index] + int(
-                np.count_nonzero(admitted_shards == index)
-            )
-            assert len(shard) == expected, index
-
-    def test_reversible_insert_round_trip(self):
-        table = ShardedBucketTable(2, shards=4)
-        table.insert(rows_from_values([1, 2, 3]))
-        mark_rows, mark_offered = len(table), table.rows_offered
-        fresh = table.insert_reversible(rows_from_values([2, 10, 11]))
-        assert fresh.tolist() == [False, True, True]
-        table.revert_insert()
-        assert len(table) == mark_rows
-        assert table.rows_offered == mark_offered
-        with pytest.raises(RuntimeError):
-            table.revert_insert()
-
-    def test_plain_insert_invalidates_revert(self):
-        table = ShardedBucketTable(2, shards=4)
-        table.insert_reversible(rows_from_values([1, 2]))
-        table.insert(rows_from_values([3]))
-        with pytest.raises(RuntimeError):
-            table.revert_insert()
-
-
-class TestMakeBackend:
-    def test_named_backends(self):
-        assert isinstance(make_backend(None, 2), BucketTable)
-        assert isinstance(make_backend("memory", 2), BucketTable)
-        assert isinstance(make_backend("sharded64", 2), ShardedBucketTable)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("mmap", 2)
-
-    def test_instance_passthrough_validates_word_count(self):
-        table = ShardedBucketTable(2, shards=4)
-        assert make_backend(table, 2) is table
-        with pytest.raises(ValueError, match="word"):
-            make_backend(table, 3)
-
-    def test_callable_factory(self):
-        built = make_backend(
-            lambda wc, cap: ShardedBucketTable(wc, capacity=cap, shards=4),
-            2,
-            capacity=100,
-        )
-        assert isinstance(built, ShardedBucketTable)
-        assert built.shard_count == 4
-        assert built.slot_count > 0
-
-    def test_capacity_reserve(self):
-        table = make_backend("sharded64", 2, capacity=10_000)
-        slots_before = table.slot_count
-        table.insert(rows_from_values(np.arange(5000)))
-        # Pre-sized: no shard needed to grow for its share.
-        assert table.slot_count == slots_before
-
-
-class TestGenerationSessionEquivalence:
-    def test_sessions_emit_identical_sets(self, structured_set):
-        """The same model, seed, and rounds through each backend emit
-        bit-identical candidate sets and session accounting."""
-        from repro.core.pipeline import EntropyIP
-
-        model = EntropyIP.fit(structured_set).model
-        outputs = {}
-        for backend in ("memory", "sharded64"):
-            session = model.session(exclude=structured_set, backend=backend)
-            rng = np.random.default_rng(9)
-            rounds = [
-                model.generate_set(400, rng, state=session)
-                for _ in range(3)
-            ]
-            outputs[backend] = (
-                [r.matrix for r in rounds],
-                session.excluded_rows,
-                session.generated_rows,
-                len(session),
-            )
-        memory_rounds, *memory_stats = outputs["memory"]
-        sharded_rounds, *sharded_stats = outputs["sharded64"]
-        assert memory_stats == sharded_stats
-        for memory_round, sharded_round in zip(memory_rounds, sharded_rounds):
-            assert np.array_equal(memory_round, sharded_round)
-
-    def test_session_table_reports_backend(self, structured_set):
-        from repro.core.pipeline import EntropyIP
-
-        model = EntropyIP.fit(structured_set).model
-        session = model.session(backend="sharded64")
-        assert isinstance(session.table, ShardedBucketTable)
+        assert table.lookup(rows_from_values(probes)).tolist() == expected
