@@ -30,9 +30,10 @@ neither search strategy ever re-counts a family, and the count tensors
 of the winning families are handed straight to CPD estimation, which
 makes the fitted parameters bit-identical to the uncached path by
 construction.  ``learn_structure(..., cache=False)`` retains the
-original score-from-scratch behaviour (the reference the golden-fit
-suite pins tier-batched output against, and the
-``EntropyIP._fit_reference`` benchmark path).
+original score-from-scratch behaviour.
+``tests/core/test_fit_golden.py::TestTierBatchedBDeu`` pins
+tier-batched output against it, and ``EntropyIP._fit_reference``
+learns with it.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def learn_structure(
     :class:`~repro.bayes.scores.FamilyStats` instance and estimates
     each CPD from the count tensor its family was scored with;
     ``cache=False`` retains the original re-count-per-score path (the
-    benchmark reference — results are bit-identical either way).
+    reference of ``TestTierBatchedBDeu`` — results are bit-identical
+    either way).
     ``stats`` supplies a pre-built (e.g. incrementally extended)
     :class:`~repro.bayes.scores.FamilyStats` over the same rows — the
     streaming-ingest refit path, where family counts have already been

@@ -28,7 +28,8 @@ are ``searchsorted`` slices.  ``engine="reference"`` retains the
 pre-vectorization scalar path — per-value Python histograms
 (:class:`~repro.stats.histogram._ReferenceHistogram`), list-fed
 grid-scan DBSCAN — and produces byte-identical mined values; it backs
-``EntropyIP._fit_reference`` and the fit-stage benchmark.
+``EntropyIP._fit_reference``, which ``tests/core/test_fit_golden.py``
+compares with the vectorized fit.
 """
 
 from __future__ import annotations
@@ -185,7 +186,8 @@ def mine_segment(
 
     ``engine="vector"`` (default) runs the array-native path;
     ``engine="reference"`` runs the retained scalar path (identical
-    output, pre-vectorization cost — the benchmark baseline).
+    output, pre-vectorization cost), which ``EntropyIP._fit_reference``
+    mines with for ``tests/core/test_fit_golden.py``.
     """
     if engine not in ("vector", "reference"):
         raise ValueError(f"unknown mining engine: {engine!r}")

@@ -106,8 +106,9 @@ class EntropyIP:
         per-value Python histogram / grid-scan DBSCAN mining engine,
         and re-count-per-score structure learning — and produces a
         **bit-identical** fitted model (same segments, mined values, BN
-        edges and CPD tables; the golden-fit suite asserts it).  The
-        fit-stage benchmark measures :meth:`fit` against this method.
+        edges and CPD tables).  ``tests/core/test_fit_golden.py``
+        (``TestVectorReferenceBitIdentity``) compares :meth:`fit` with
+        it field by field, and ``TestGoldenDigests`` pins its digest.
         """
         address_set = _as_address_set(addresses, width)
         if len(address_set) == 0:

@@ -181,7 +181,7 @@ class FaultPlan:
         return None
 
     def hits(self, site: str) -> int:
-        """How many times ``site`` has fired."""
+        """How many times ``site`` has been reached while armed."""
         with self._lock:
             return self._hits.get(site, 0)
 

@@ -18,10 +18,10 @@ generation dedup and batch membership
 scan layer's /64 accounting and keyed-hash oracles — the whole §5.5
 scoring path never materializes a per-row Python integer.
 :func:`first_occurrence_positions` is the sort-based dedup that
-:meth:`BucketTable.insert_packed` screens a batch tail with, and the
-sorted searchsorted index survives as
-:meth:`AddressSet._match_rows_sorted` so the perf harness can measure
-the bucket table against it on identical batches.
+:meth:`BucketTable.insert_packed` screens a batch tail with.
+``tests/ipv6/test_sets.py::TestMatchRows`` checks
+:meth:`AddressSet.match_rows` against a Python dict of each row's
+first position.
 
 Rows with a short last axis (packed words, nybble rows) are gathered
 with ``take(..., axis=0)`` and selected with ``compress(..., axis=0)``,
@@ -807,7 +807,6 @@ class AddressSet:
     __slots__ = (
         "_matrix",
         "_member_index",
-        "_sorted_index",
         "_packed",
         "__weakref__",
     )
@@ -825,7 +824,6 @@ class AddressSet:
         self._matrix = matrix
         self._matrix.setflags(write=False)
         self._member_index: Optional[BucketTable] = None
-        self._sorted_index = None
         self._packed: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -1104,54 +1102,6 @@ class AddressSet:
             self._member_index = table
         return self._member_index
 
-    def _sorted_membership_index(self):
-        """The PR-2 sorted searchsorted index, kept as the reference
-        implementation the perf harness benchmarks the bucket table
-        against (and as an independent oracle for equivalence tests).
-
-        Distinct rows are folded into one well-mixed uint64 each
-        (:func:`_mix_words` over the packed words) and sorted, so a
-        batch lookup is a single uint64 ``searchsorted`` followed by a
-        packed-word equality check.  If the fold ever collides on two
-        *distinct* rows (probability ~n²/2⁶⁵, and a collision would
-        make ``searchsorted`` miss one of them), the index falls back
-        to *rank composition*: each word column ranked against its
-        sorted uniques, the (rank0, rank1) pair packed into one uint64
-        and sorted — three ``searchsorted`` passes, still no per-row
-        Python.
-        """
-        if self._sorted_index is None:
-            words = self.packed_rows()
-            distinct = first_occurrence_positions(words)
-            uwords = words[distinct]
-            mixed = _mix_words(uwords)
-            order = np.argsort(mixed, kind="stable")
-            mixed_sorted = mixed[order]
-            if np.any(mixed_sorted[1:] == mixed_sorted[:-1]):
-                self._sorted_index = self._build_rank_index(uwords, distinct)
-            else:
-                self._sorted_index = (
-                    "mixed",
-                    mixed_sorted,
-                    uwords[order],
-                    distinct[order],
-                )
-        return self._sorted_index
-
-    @staticmethod
-    def _build_rank_index(uwords: np.ndarray, distinct: np.ndarray):
-        """Collision-proof fallback index (see :meth:`_membership_index`)."""
-        if uwords.shape[1] == 1:
-            order = np.argsort(uwords[:, 0], kind="stable")
-            return ("ranks", uwords[order, 0], None, None, distinct[order])
-        unique0, rank0 = np.unique(uwords[:, 0], return_inverse=True)
-        unique1, rank1 = np.unique(uwords[:, 1], return_inverse=True)
-        pairs = (rank0.astype(np.uint64) << np.uint64(32)) | rank1.astype(
-            np.uint64
-        )
-        order = np.argsort(pairs, kind="stable")
-        return ("ranks", pairs[order], unique0, unique1, distinct[order])
-
     def match_rows(self, other: "AddressSet") -> np.ndarray:
         """For each row of ``other``, the position of an equal row in
         self, or -1 when absent.
@@ -1186,60 +1136,13 @@ class AddressSet:
             np.intp, copy=False
         )
 
-    def _match_rows_sorted(self, other: "AddressSet") -> np.ndarray:
-        """:meth:`match_rows` on the PR-2 sorted searchsorted index.
-
-        Same contract and results as :meth:`match_rows`; kept so the
-        perf harness can time the bucket table against the binary
-        search it replaced, and as an independent implementation for
-        equivalence tests.
-        """
-        if other.width != self.width:
-            raise ValueError("cannot test membership across different widths")
-        out = np.full(len(other), -1, dtype=np.intp)
-        if len(self) == 0 or len(other) == 0:
-            return out
-        index = self._sorted_membership_index()
-        query = other.packed_rows()
-        if index[0] == "mixed":
-            _, mixed_sorted, words_sorted, rows_sorted = index
-            qmix = _mix_words(query)
-            at = np.minimum(
-                np.searchsorted(mixed_sorted, qmix), len(mixed_sorted) - 1
-            )
-            hit = mixed_sorted[at] == qmix
-            # Verify words: a non-member may collide with a member's fold.
-            hit &= (words_sorted[at] == query).all(axis=1)
-        else:
-            _, keys_sorted, unique0, unique1, rows_sorted = index
-            if query.shape[1] == 1:
-                qkeys = query[:, 0]
-                hit = np.ones(len(query), dtype=bool)
-            else:
-                word0, word1 = query[:, 0], query[:, 1]
-                at0 = np.minimum(
-                    np.searchsorted(unique0, word0), len(unique0) - 1
-                )
-                at1 = np.minimum(
-                    np.searchsorted(unique1, word1), len(unique1) - 1
-                )
-                hit = (unique0[at0] == word0) & (unique1[at1] == word1)
-                qkeys = (at0.astype(np.uint64) << np.uint64(32)) | at1.astype(
-                    np.uint64
-                )
-            at = np.minimum(np.searchsorted(keys_sorted, qkeys), len(keys_sorted) - 1)
-            hit &= keys_sorted[at] == qkeys
-        out[hit] = rows_sorted[at[hit]]
-        return out
-
     def contains_rows(self, other: "AddressSet") -> np.ndarray:
         """Vectorized membership: which rows of ``other`` appear in self.
 
         Returns a boolean array of ``len(other)``; thin wrapper over
         :meth:`match_rows`, so screening a candidate batch against a
-        fixed set (training, population) is O((n + m) log n) uint64
-        ``searchsorted`` work — no per-address Python, no bytewise
-        comparisons.
+        fixed set (training, population) is one bucket-table lookup —
+        no per-address Python.
         """
         if other.width != self.width:
             raise ValueError("cannot test membership across different widths")

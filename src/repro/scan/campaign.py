@@ -22,9 +22,9 @@ each round's hit prefixes into a running sorted-unique uint64 array
 rows accumulate as per-round chunks concatenated once at the end.  Per
 round cost is therefore ~flat in the campaign's age.  The pre-session
 re-seeding loop is retained verbatim as
-:meth:`ScanCampaign._run_reseed_reference` — the perf harness times
-:meth:`run` against it, and the test suite pins their outcomes equal
-round for round.
+:meth:`ScanCampaign._run_reseed_reference`:
+``tests/scan/test_campaign.py::TestIncrementalAccounting`` pins their
+outcomes equal round for round.
 """
 
 from __future__ import annotations
@@ -231,10 +231,9 @@ class ScanCampaign:
         ``np.vstack`` and is re-fed (and re-indexed) through
         ``generate_set``'s per-call exclusion, and the "new /64s"
         accounting recomputes ``prefixes64()`` + ``setdiff1d`` over the
-        full discovered set.  Kept so the perf harness can measure the
-        steady-state engine against it on identical campaigns, and as
-        the regression oracle: :meth:`run` must match it round for
-        round (asserted in tests/scan/test_campaign.py).
+        full discovered set.  Kept as the regression oracle: :meth:`run`
+        must match it round for round
+        (``tests/scan/test_campaign.py::TestIncrementalAccounting``).
         """
         train = self._training
         analysis = EntropyIP.fit(train, width=train.width)

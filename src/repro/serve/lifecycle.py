@@ -89,7 +89,9 @@ class ManagedSession:
     stream, and a lock serializing draws — concurrent requests against
     the *same* stream execute one at a time (interleaving draws on one
     RNG would make the stream depend on scheduling), while requests
-    against different sessions run fully concurrently.
+    against different sessions run fully concurrently.  ``session`` is
+    the one its caller opened with ``spec`` or restored from a
+    snapshot; the stream takes it over and closes it.
     """
 
     def __init__(
@@ -97,6 +99,7 @@ class ManagedSession:
         key: Tuple[str, str],
         entry: ModelEntry,
         spec: SessionSpec,
+        session: GenerationSession,
         seed: int,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -104,7 +107,7 @@ class ManagedSession:
         self.entry = entry
         self.spec = spec
         self.seed = seed
-        self.session = spec.open(entry.analysis.model)
+        self.session = session
         self.rng = np.random.default_rng(seed)
         self._clock = clock
         self._lock = threading.Lock()
@@ -262,13 +265,10 @@ class ManagedSession:
             (payload["model"], payload["client"]),
             entry,
             spec,
+            GenerationSession.restore(payload["session"]),
             seed=int(payload["seed"]),
             clock=clock,
         )
-        # Swap the freshly opened (empty) session for the restored one
-        # and rewind the RNG to the saved stream position.
-        managed.session.close()
-        managed.session = GenerationSession.restore(payload["session"])
         managed.rng.bit_generator.state = payload["rng_state"]
         managed.requests = int(payload["requests"])
         managed.rows_served = int(payload["rows_served"])
@@ -362,7 +362,12 @@ class SessionManager:
                 exclude=exclude, capacity=capacity, workers=workers
             )
             session = ManagedSession(
-                key, entry, spec, seed=seed, clock=self._clock
+                key,
+                entry,
+                spec,
+                spec.open(entry.analysis.model),
+                seed=seed,
+                clock=self._clock,
             )
             self._sessions[key] = session
             self._sessions.move_to_end(key)
@@ -430,7 +435,12 @@ class SessionManager:
             old.close()
             entry = self.registry.get(model_name)
             session = ManagedSession(
-                key, entry, old.spec, seed=old.seed, clock=self._clock
+                key,
+                entry,
+                old.spec,
+                old.spec.open(entry.analysis.model),
+                seed=old.seed,
+                clock=self._clock,
             )
             self._sessions[key] = session
             self._sessions.move_to_end(key)

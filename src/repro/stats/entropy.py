@@ -24,7 +24,8 @@ same tensor — no second scan of the data.
 :func:`nybble_entropies` itself needs only the marginals, so it runs an
 even cheaper single fused ``column*16 + value`` bincount.  The pre-PR
 per-column scalar loop is retained as :func:`_nybble_entropies_scalar`
-(the benchmark/golden reference path).
+(the ``EntropyIP._fit_reference`` path, and the oracle of
+``tests/test_properties.py::TestContingencyProperties``).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def nybble_entropies(address_set: AddressSet) -> np.ndarray:
 
 
 def _nybble_entropies_scalar(address_set: AddressSet) -> np.ndarray:
-    """The pre-vectorization per-column loop (benchmark reference path)."""
+    """The pre-vectorization per-column loop (the reference path)."""
     matrix = address_set.matrix
     n, width = matrix.shape
     result = np.zeros(width, dtype=np.float64)

@@ -197,9 +197,10 @@ class Histogram:
 class _ReferenceHistogram(Histogram):
     """The pre-vectorization scalar implementations, retained verbatim.
 
-    ``EntropyIP._fit_reference`` mines with this class so the benchmark
-    reference measures the original per-value Python cost.  Results are
-    identical to :class:`Histogram` — only the implementation differs.
+    ``EntropyIP._fit_reference`` mines with this class, and
+    ``tests/core/test_fit_golden.py`` checks that path's model against
+    the vectorized fit.  Results are identical to :class:`Histogram` —
+    only the implementation differs.
     """
 
     __slots__ = ()

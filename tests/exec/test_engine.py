@@ -255,6 +255,30 @@ class TestShardFault:
             assert pool.closed is not threaded
             assert pool.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
+    @pytest.mark.parametrize("threaded", [False, True],
+                             ids=["inline", "threaded"])
+    def test_unmatched_plan_leaves_rows_unchanged(
+        self, s1_model, threaded, request
+    ):
+        """An armed plan whose rule never matches is consulted in every
+        shard task and changes no row."""
+        if threaded:
+            request.getfixturevalue("threaded_shards")
+        model, train = s1_model
+
+        def draw():
+            return model.generate_set(
+                2000, np.random.default_rng(7), exclude=train, workers=2
+            ).matrix
+
+        disarmed = draw()
+        plan = FaultPlan.parse("pool.shard@999999999:raise=RuntimeError")
+        with plan.armed():
+            armed = draw()
+        assert plan.fired() == 0
+        assert plan.hits("pool.shard") >= DEFAULT_SHARDS
+        assert np.array_equal(armed, disarmed)
+
     def test_faulted_session_draw_keeps_no_rows(self, r1_model):
         # The second batch's first shard raises after the first batch's
         # rows went into the session.  The call returns no rows, so the

@@ -16,6 +16,15 @@ from repro.ipv6.sets import (
 ADDRESS_INTS = st.integers(min_value=0, max_value=(1 << 128) - 1)
 
 
+def match_rows_reference(base, query):
+    """``base.match_rows(query)`` from a dict of each row's first
+    position in ``base``."""
+    first = {}
+    for position, row in enumerate(base.matrix.tolist()):
+        first.setdefault(tuple(row), position)
+    return [first.get(tuple(row), -1) for row in query.matrix.tolist()]
+
+
 class TestConstruction:
     def test_from_strings(self):
         s = AddressSet.from_strings(["2001:db8::1", "2001:db8::2"])
@@ -353,7 +362,7 @@ class TestArrayPrimitives:
         base = AddressSet.from_ints([10, 20, 30])
         hits = base.contains_rows(AddressSet.from_ints([20, 99]))
         assert hits.tolist() == [True, False]
-        # Second query hits the cached sorted view; results unchanged.
+        # Second query hits the cached bucket table; results unchanged.
         again = base.contains_rows(AddressSet.from_ints([10, 30, 40]))
         assert again.tolist() == [True, True, False]
 
@@ -377,43 +386,25 @@ class TestMatchRows:
         assert base.match_rows(AddressSet.empty(32)).tolist() == []
         assert AddressSet.empty(32).match_rows(base).tolist() == [-1, -1]
 
-    def test_rank_fallback_index_equivalent(self):
+    def test_agrees_with_first_occurrence_dict(self):
         generator = np.random.default_rng(21)
         values = [int(v) for v in generator.integers(0, 1 << 60, size=300)]
         base = AddressSet.from_ints(values + values[:50])
         query = AddressSet.from_ints(
             values[::3] + [int(v) for v in generator.integers(0, 1 << 60, size=100)]
         )
-        fast = base.match_rows(query)
-        # The sorted reference path must agree with the bucket table.
-        assert base._match_rows_sorted(query).tolist() == fast.tolist()
-        # Force the collision-proof rank-composition index and re-match.
-        from repro.ipv6.sets import first_occurrence_positions, pack_rows
+        positions = base.match_rows(query)
+        assert positions.tolist() == match_rows_reference(base, query)
+        assert base.contains_rows(query).tolist() == (positions >= 0).tolist()
 
-        words = pack_rows(base.matrix)
-        distinct = first_occurrence_positions(words)
-        forced = AddressSet(base.matrix)
-        forced._sorted_index = AddressSet._build_rank_index(
-            words[distinct], distinct
+    def test_single_word_rows(self):
+        base = AddressSet.from_ints(
+            [3, 9, 27, 81, 9], width=16, already_truncated=True
         )
-        assert forced._match_rows_sorted(query).tolist() == fast.tolist()
-        assert forced.contains_rows(query).tolist() == (fast >= 0).tolist()
-
-    def test_rank_fallback_single_word(self):
-        values = [3, 9, 27, 81, 9]
-        base = AddressSet.from_ints(values, width=16, already_truncated=True)
         query = AddressSet.from_ints(
             [9, 4, 81], width=16, already_truncated=True
         )
-        from repro.ipv6.sets import first_occurrence_positions, pack_rows
-
-        words = pack_rows(base.matrix)
-        distinct = first_occurrence_positions(words)
-        forced = AddressSet(base.matrix)
-        forced._sorted_index = AddressSet._build_rank_index(
-            words[distinct], distinct
-        )
-        assert forced._match_rows_sorted(query).tolist() == [1, -1, 3]
+        assert base.match_rows(query).tolist() == [1, -1, 3]
 
     def test_from_words_rejects_negative_and_float(self):
         with pytest.raises(ValueError):

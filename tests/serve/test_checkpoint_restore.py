@@ -15,6 +15,7 @@ from repro.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.model import GenerationSession
 from repro.core.pipeline import EntropyIP
 from repro.errors import CheckpointError
+from repro.ipv6.sets import BucketTable
 from repro.serve import HitlistService, ModelRegistry, SessionManager
 
 
@@ -167,6 +168,33 @@ class TestManagedSessionSnapshot:
         fresh = SessionManager(registry)
         loaded = load_checkpoint(path, kind="sessions")["sessions"][0]
         restored = fresh.restore_session(loaded)
+        assert np.array_equal(after, restored.generate(200).matrix)
+        manager.close_all()
+        fresh.close_all()
+
+    def test_restore_builds_one_table(self, registry, monkeypatch):
+        """A restored stream's table is the one the snapshot's rows are
+        inserted into; no empty capacity-sized session is opened and
+        thrown away first."""
+        manager = SessionManager(registry)
+        session = manager.open("m", "alice", seed=5, exclude_training=True,
+                               capacity=100_000)
+        session.generate(120)
+        payload = session.snapshot()
+        after = session.generate(200).matrix
+
+        fresh = SessionManager(registry)
+        builds = []
+        real_init = BucketTable.__init__
+
+        def counting_init(table, *args, **kwargs):
+            builds.append(args)
+            real_init(table, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BucketTable, "__init__", counting_init)
+            restored = fresh.restore_session(payload)
+        assert len(builds) == 1, builds
         assert np.array_equal(after, restored.generate(200).matrix)
         manager.close_all()
         fresh.close_all()

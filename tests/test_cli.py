@@ -348,6 +348,12 @@ class TestIngestCommand:
         assert "refit in" in out  # at least one drift-triggered refit
         assert "0 refits" not in out
         assert "0 repeats" in out  # monitor stream never repeated a row
+        # Drift, not every batch, triggers a refit: at least one of the
+        # nine batches refits and at least one does not.
+        batches = [line for line in out.splitlines()
+                   if line.startswith("snapshot ")]
+        refits = [line for line in batches if ", refit in " in line]
+        assert 1 <= len(refits) < len(batches) == 9, out
 
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning"
